@@ -56,7 +56,6 @@ from .analysis import (
 )
 from .rewrite import (
     NumericalError,
-    Restriction,
     SqueezeRecord,
     SqueezedCircuit,
     VerificationError,

@@ -35,6 +35,10 @@ class NotAFormulaError(CircuitError):
     """Raised by operations that require a formula."""
 
 
+class InconsistentAnalysisError(RuntimeError):
+    """Two analyses that must agree did not: a bug, not a bad circuit."""
+
+
 # ---------------------------------------------------------------------------
 # line connectivity
 
@@ -160,7 +164,7 @@ def is_formula(circuit: Circuit) -> bool:
     tree = computation_graph(circuit).is_tree
     unique = has_unique_paths(circuit)
     if tree != unique:
-        raise RuntimeError(
+        raise InconsistentAnalysisError(
             f"formula tests disagree: tree={tree}, unique paths={unique}"
         )
     return tree
@@ -269,8 +273,8 @@ def intersection_gates(pathset: PathSet) -> tuple[Gate, ...]:
     A gate counts when at least two paths arrive at it from distinct
     predecessors (different feeding gate, or directly from different
     input lines).  Once merged, paths share every later gate without
-    creating further intersections.  The result size is asserted to be
-    at most s_j.
+    creating further intersections.  More than s_j merge gates raise
+    StructuralError.
     """
     arrivals: dict[int, set[tuple]] = {}
     gate_of: dict[int, Gate] = {}
@@ -281,7 +285,8 @@ def intersection_gates(pathset: PathSet) -> tuple[Gate, ...]:
             gate_of[hop.step] = hop.gate
             previous = ("gate", hop.step)
     merge_steps = sorted(s for s, preds in arrivals.items() if len(preds) >= 2)
-    assert len(merge_steps) <= pathset.s_j, "more merge gates than block wires"
+    if len(merge_steps) > pathset.s_j:
+        raise StructuralError(f"{len(merge_steps)} merge gates for {pathset.s_j} block wires")
     return tuple(gate_of[s] for s in merge_steps)
 
 

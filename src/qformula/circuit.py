@@ -132,20 +132,20 @@ class Circuit:
         """Gate count plus input-wire count (every line is an input wire)."""
         return len(self.gates) + self.num_qubits
 
-    def gate_at_step(self, step: int) -> Gate:
-        for g in self.gates:
-            if g.step == step:
-                return g
-        raise KeyError(f"no gate at step {step}")
-
     def relabel(self, labels: Iterable[InputLabel]) -> "Circuit":
         return replace(self, labels=tuple(labels))
 
     def check(self) -> "Circuit":
-        """Raise InvalidCircuitError unless the circuit is well-formed."""
-        report = validate(self)
-        if not report.ok:
-            raise InvalidCircuitError(report.violations)
+        """Raise InvalidCircuitError unless the circuit is well-formed.
+
+        The circuit is immutable, so a successful check is remembered
+        and later calls return at once; ``validate`` always re-checks.
+        """
+        if "_valid" not in self.__dict__:
+            report = validate(self)
+            if not report.ok:
+                raise InvalidCircuitError(report.violations)
+            object.__setattr__(self, "_valid", True)
         return self
 
 

@@ -7,9 +7,11 @@ Circuit files are UTF-8 JSON:
      "gates": [{"step": s, "targets": [q, ...], "matrix": [[re, im], ...]}, ...],
      "output_qubit": q}
 
-Matrix arrays are row-major flat lists of [re, im] pairs, length 4^k for
-k targets.  Floats are written with repr precision, so a write/read
-round trip reproduces every matrix bit-exactly.
+Files are written as compact JSON (no indentation, so the C encoder
+does the work).  Matrix arrays are row-major flat lists of [re, im]
+pairs, length 4^k for k targets.  Floats are written with repr
+precision, so a write/read round trip reproduces every matrix
+bit-exactly.  Integer fields reject JSON booleans.
 
 Truth-table files are two lines: the variable count n, then 2^n
 characters of 0/1 where the index is read with x1 as the most
@@ -36,6 +38,11 @@ def _require(condition: bool, message: str):
         raise FormatError(message)
 
 
+def _is_int(value) -> bool:
+    """JSON integer; ``bool`` is an ``int`` subclass but not a JSON number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _label_to_json(label: InputLabel) -> dict:
     if label.var is not None:
         return {"var": label.var}
@@ -45,17 +52,18 @@ def _label_to_json(label: InputLabel) -> dict:
 def _label_from_json(obj, where: str) -> InputLabel:
     _require(isinstance(obj, dict), f"{where}: label must be an object")
     if "var" in obj:
-        _require(isinstance(obj["var"], int), f"{where}: var must be an integer")
+        _require(_is_int(obj["var"]), f"{where}: var must be an integer")
         return InputLabel(var=obj["var"])
     if "const" in obj:
-        _require(obj["const"] in (0, 1), f"{where}: const must be 0 or 1")
+        _require(_is_int(obj["const"]) and obj["const"] in (0, 1),
+                 f"{where}: const must be 0 or 1")
         return InputLabel(const=obj["const"])
     raise FormatError(f"{where}: label needs a 'var' or 'const' field")
 
 
 def _matrix_to_json(matrix: np.ndarray) -> list[list[float]]:
     flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack([flat.real, flat.imag], axis=1).tolist()
 
 
 def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
@@ -68,8 +76,9 @@ def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
     values = []
     for i, pair in enumerate(entries):
         _require(
-            isinstance(pair, list) and len(pair) == 2,
-            f"{where}: matrix entry {i} must be an [re, im] pair",
+            isinstance(pair, list) and len(pair) == 2
+            and all(_is_int(x) or isinstance(x, float) for x in pair),
+            f"{where}: matrix entry {i} must be an [re, im] pair of numbers",
         )
         values.append(complex(pair[0], pair[1]))
     return np.array(values, dtype=complex).reshape(dim, dim)
@@ -101,10 +110,12 @@ def circuit_from_json(obj) -> Circuit:
     _require(isinstance(obj, dict), "top level must be an object")
     for key in ("num_qubits", "labels", "gates", "output_qubit"):
         _require(key in obj, f"missing required field '{key}'")
-    _require(isinstance(obj["num_qubits"], int), "'num_qubits' must be an integer")
+    _require(_is_int(obj["num_qubits"]), "'num_qubits' must be an integer")
     _require(isinstance(obj["labels"], list), "'labels' must be a list")
     _require(isinstance(obj["gates"], list), "'gates' must be a list")
-    _require(isinstance(obj["output_qubit"], int), "'output_qubit' must be an integer")
+    _require(_is_int(obj["output_qubit"]), "'output_qubit' must be an integer")
+    arity_bound = obj.get("arity_bound", 2)
+    _require(_is_int(arity_bound), "'arity_bound' must be an integer")
     labels = tuple(
         _label_from_json(lb, f"labels[{i}]") for i, lb in enumerate(obj["labels"])
     )
@@ -114,9 +125,10 @@ def circuit_from_json(obj) -> Circuit:
         _require(isinstance(spec, dict), f"{where}: gate must be an object")
         for key in ("step", "targets", "matrix"):
             _require(key in spec, f"{where}: missing field '{key}'")
+        _require(_is_int(spec["step"]), f"{where}: step must be an integer")
         targets = spec["targets"]
         _require(
-            isinstance(targets, list) and targets and all(isinstance(q, int) for q in targets),
+            isinstance(targets, list) and targets and all(_is_int(q) for q in targets),
             f"{where}: targets must be a nonempty list of integers",
         )
         matrix = _matrix_from_json(spec["matrix"], len(targets), where)
@@ -126,7 +138,7 @@ def circuit_from_json(obj) -> Circuit:
         labels=labels,
         gates=tuple(gates),
         output_qubit=obj["output_qubit"],
-        arity_bound=obj.get("arity_bound", 2),
+        arity_bound=arity_bound,
     )
 
 
@@ -144,7 +156,7 @@ def read_circuit(path) -> Circuit:
 
 def write_circuit(circuit: Circuit, path) -> None:
     Path(path).write_text(
-        json.dumps(circuit_to_json(circuit), indent=1) + "\n", encoding="utf-8"
+        json.dumps(circuit_to_json(circuit)) + "\n", encoding="utf-8"
     )
 
 

@@ -207,6 +207,10 @@ def ed_partition(ell: int) -> Partition:
     )
 
 
+class SigmaCheckError(ArithmeticError):
+    """Exact subfunction counts contradict the element-distinctness bound."""
+
+
 @dataclass(frozen=True)
 class EDSigmaReport:
     ell: int
@@ -236,6 +240,8 @@ def ed_sigma_check(ell: int) -> EDSigmaReport:
     report = EDSigmaReport(
         ell=ell, sigmas=sigmas, binomial=math.comb(ell * ell, ell - 1)
     )
-    assert report.symmetric, f"blocks disagree: {sigmas}"
-    assert report.bound_holds, f"sigma {min(sigmas)} < C({ell * ell}, {ell - 1})"
+    if not report.symmetric:
+        raise SigmaCheckError(f"blocks disagree: {sigmas}")
+    if not report.bound_holds:
+        raise SigmaCheckError(f"sigma {min(sigmas)} < C({ell * ell}, {ell - 1})")
     return report

@@ -64,21 +64,6 @@ class VerificationError(AssertionError):
 # restriction
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Constant values for every variable outside a block."""
-
-    block: frozenset[int]
-    assignment: tuple[tuple[int, int], ...]  # (variable, bit), sorted
-
-    @classmethod
-    def make(cls, block, assignment: Mapping[int, int]) -> "Restriction":
-        return cls(
-            block=frozenset(int(j) for j in block),
-            assignment=tuple(sorted((int(k), int(v)) for k, v in assignment.items())),
-        )
-
-
 def restrict(formula: Circuit, block, rho: Mapping[int, int]) -> Circuit:
     """Fix every variable outside ``block`` to the bit given by ``rho``.
 
@@ -407,50 +392,33 @@ def build_composite_gate(
     The four columns indexed |a0 a1 0000> map to
     sum_{c0 c1 j} coeff[a0,a1,c0,c1,j] |c0 c1>|j>, with the basis index
     j written in binary on the four fresh qubits.  The 60 unspecified
-    columns are completed deterministically by projecting standard
-    basis vectors against the columns placed so far (``candidate_order``
-    picks the probe order; any valid completion yields the same
-    acceptance probabilities because those columns are never excited).
+    columns are the orthogonal complement of those four, taken from one
+    complete QR factorization.  ``candidate_order`` (a permutation of
+    0..63) permutes the rows before the factorization and is undone
+    afterwards, so different orders give different completions; any
+    valid completion yields the same acceptance probabilities because
+    those columns are never excited.
     """
     dim = 2 ** COMPOSITE_ARITY
-    u = np.zeros((dim, dim), dtype=complex)
-    specified = []
-    for a0 in (0, 1):
-        for a1 in (0, 1):
-            col = np.zeros(dim, dtype=complex)
-            for c0 in (0, 1):
-                for c1 in (0, 1):
-                    base = (c0 << 5) | (c1 << 4)
-                    col[base : base + record.rank] = record.coefficients[a0, a1, c0, c1]
-            index = (a0 << 5) | (a1 << 4)
-            u[:, index] = col
-            specified.append(index)
+    padded = np.zeros((4, 2, 2, 2 ** FRESH_QUBITS), dtype=complex)
+    padded[..., : record.rank] = record.coefficients.reshape(4, 2, 2, record.rank)
+    columns = padded.reshape(4, dim).T  # column a0a1 holds |c0 c1>|j> at row c0c1j
+    specified = [(a0 << 5) | (a1 << 4) for a0 in (0, 1) for a1 in (0, 1)]
 
-    gram = u[:, specified].conj().T @ u[:, specified]
+    gram = columns.conj().T @ columns
     if float(np.max(np.abs(gram - np.eye(4)))) > ISOMETRY_TOL:
         raise NumericalError("coefficient columns fail the isometry check")
 
-    placed = [u[:, i] for i in specified]
-    free_slots = [i for i in range(dim) if i not in specified]
-    probes = list(candidate_order) if candidate_order is not None else list(range(dim))
-    slot = 0
-    for k in probes:
-        if slot >= len(free_slots):
-            break
-        w = np.zeros(dim, dtype=complex)
-        w[k] = 1.0
-        for _ in range(2):
-            for b in placed:
-                w -= np.vdot(b, w) * b
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-6:
-            continue
-        w /= norm
-        u[:, free_slots[slot]] = w
-        placed.append(w)
-        slot += 1
-    if slot != len(free_slots):
-        raise NumericalError("unitary completion ran out of independent directions")
+    order = np.asarray(range(dim) if candidate_order is None else candidate_order)
+    if order.shape != (dim,) or order.dtype.kind not in "iu" or not np.array_equal(
+        np.sort(order), np.arange(dim)
+    ):
+        raise NumericalError(f"candidate_order must be a permutation of 0..{dim - 1}")
+    q, _ = np.linalg.qr(columns[order], mode="complete")
+    u = np.empty((dim, dim), dtype=complex)
+    u[:, specified] = columns
+    free = [i for i in range(dim) if i not in specified]
+    u[np.ix_(order, free)] = q[:, 4:]  # row k of q is row order[k] of u
     deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if deviation > 1e-10:
         raise NumericalError(f"completed gate deviates from unitarity by {deviation:.3e}")

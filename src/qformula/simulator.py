@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, InvalidCircuitError, validate
+from .circuit import Circuit, Gate
 
 DEFAULT_MAX_QUBITS = 20
 NORM_TOL = 1e-10
@@ -104,9 +104,7 @@ def run(
             f"{circuit.num_qubits} qubits exceeds the simulation cap {max_qubits}"
         )
     if check:
-        report = validate(circuit)
-        if not report.ok:
-            raise InvalidCircuitError(report.violations)
+        circuit.check()
     state = initial_state(circuit, assignment)
     for gate in sorted(circuit.gates, key=lambda g: g.step):
         state = apply_gate(state, gate, circuit.num_qubits)

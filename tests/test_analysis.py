@@ -80,6 +80,14 @@ def test_intersection_at_final_gate_only():
     assert [g.step for g in merges] == [3]
 
 
+def test_more_merges_than_block_wires_is_a_structural_error():
+    from dataclasses import replace
+
+    ps = path_sets(formula_example(), {1})
+    with pytest.raises(StructuralError, match="merge gates"):
+        intersection_gates(replace(ps, wires=()))
+
+
 def test_single_path_has_no_intersections():
     c = build_circuit(
         2, [variable(1), constant(0)], [((0, 1), CNOT), ((0, 1), CNOT)], output_qubit=0

@@ -72,6 +72,28 @@ def test_check_raises_with_all_violations():
     assert len(err.value.violations) == 2
 
 
+def test_check_validates_once_but_validate_always_rechecks(monkeypatch):
+    import qformula.circuit as circuit_module
+
+    calls = []
+    real = circuit_module.validate
+    monkeypatch.setattr(circuit_module, "validate", lambda c: calls.append(c) or real(c))
+    c = build_circuit(1, [variable(1)], [((0,), X)], output_qubit=0)
+    assert c.check() is c and c.check() is c
+    assert len(calls) == 1
+    assert validate(c).ok  # the module-level function is not cached
+    c.relabel([constant(1)]).check()  # a derived circuit is checked anew
+    assert len(calls) == 2
+
+
+def test_failed_check_is_not_remembered():
+    bad = np.array([[1, 0], [0, 2]], dtype=complex)
+    c = build_circuit(1, [variable(1)], [((0,), bad)], output_qubit=0)
+    for _ in range(2):
+        with pytest.raises(InvalidCircuitError):
+            c.check()
+
+
 def test_labels_require_exactly_one_kind():
     with pytest.raises(ValueError):
         variable(0)

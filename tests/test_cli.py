@@ -179,6 +179,53 @@ def test_squeeze_tolerance_breach_exits_2(tmp_path, capsys):
     assert "verification failure" in err
 
 
+def test_numerical_error_exits_2(tmp_path, capsys, monkeypatch):
+    import qformula.rewrite
+
+    source = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), source)
+    # a negative tolerance makes the completion's isometry check fail
+    monkeypatch.setattr(qformula.rewrite, "ISOMETRY_TOL", -1.0)
+    code, _, err = run_cli(capsys, "squeeze", "-c", str(source))
+    assert code == 2
+    assert "isometry" in err
+
+
+def test_ed_check_reports_counts(capsys):
+    code, out, _ = run_cli(capsys, "ed", "--ell", "2", "--check", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sigmas"] == [4, 4]
+    assert payload["binomial"] == 4
+
+
+def test_ed_check_failure_exits_2(capsys, monkeypatch):
+    import types
+
+    import qformula.nechiporuk
+
+    # every block reports sigma 0, below C(4, 1)
+    monkeypatch.setattr(
+        qformula.nechiporuk, "subfunctions", lambda f, p, j: types.SimpleNamespace(sigma=0)
+    )
+    code, out, err = run_cli(capsys, "ed", "--ell", "2", "--check")
+    assert code == 2
+    assert out == ""
+    assert "sigma 0 < C(4, 1)" in err
+
+
+def test_disagreeing_formula_tests_exit_1(tmp_path, capsys, monkeypatch):
+    import qformula.analysis
+
+    path = tmp_path / "tree.json"
+    write_circuit(formula_example(), path)
+    real = qformula.analysis.has_unique_paths
+    monkeypatch.setattr(qformula.analysis, "has_unique_paths", lambda c: not real(c))
+    code, _, err = run_cli(capsys, "analyze", "-c", str(path))
+    assert code == 1
+    assert "formula tests disagree" in err
+
+
 def test_bounds_missing_arguments_exit_1(capsys):
     code, _, err = run_cli(capsys, "bounds", "warren", "-m", "3")
     assert code == 1

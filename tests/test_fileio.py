@@ -6,11 +6,17 @@ from qformula import (
     read_circuit,
     read_partition,
     read_truth_table,
+    squeeze_all,
     write_circuit,
     write_partition,
     write_truth_table,
 )
-from qformula.samples import formula_example, nonformula_example, random_formula
+from qformula.samples import (
+    formula_example,
+    nonformula_example,
+    random_formula,
+    two_path_example,
+)
 
 
 def test_round_trip_reference_circuits(tmp_path):
@@ -97,6 +103,61 @@ def test_bad_label_is_rejected(tmp_path):
         '{"num_qubits": 1, "labels": [{"const": 3}], "gates": [], "output_qubit": 0}'
     )
     with pytest.raises(FormatError, match=r"labels\[0\]"):
+        read_circuit(path)
+
+
+def test_squeezed_circuit_with_composites_round_trips_bit_exactly(tmp_path):
+    squeezed = squeeze_all(two_path_example())
+    assert {g.matrix.shape for g in squeezed.circuit.gates} == {(64, 64)}
+    path = tmp_path / "squeezed.json"
+    write_circuit(squeezed.circuit, path)
+    assert path.read_text().count("\n") == 1  # compact: one line
+    back = read_circuit(path)
+    assert (back.num_qubits, back.labels, back.output_qubit, back.arity_bound) == (
+        squeezed.circuit.num_qubits,
+        squeezed.circuit.labels,
+        squeezed.circuit.output_qubit,
+        squeezed.circuit.arity_bound,
+    )
+    for g1, g2 in zip(back.gates, squeezed.circuit.gates):
+        assert (g1.step, g1.targets) == (g2.step, g2.targets)
+        assert np.array_equal(g1.matrix, g2.matrix)
+
+
+_X_GATE = '{"step": 1, "targets": [0], "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("var", '{"num_qubits": 1, "labels": [{"var": true}], "gates": [], "output_qubit": 0}'),
+        ("const", '{"num_qubits": 1, "labels": [{"const": false}], "gates": [], "output_qubit": 0}'),
+        ("num_qubits", '{"num_qubits": true, "labels": [{"var": 1}], "gates": [], "output_qubit": 0}'),
+        ("output_qubit", '{"num_qubits": 1, "labels": [{"var": 1}], "gates": [], "output_qubit": false}'),
+        ("step", '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": ['
+                 + _X_GATE.replace('"step": 1', '"step": true') + "]}"),
+        ("targets", '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": ['
+                    + _X_GATE.replace('"targets": [0]', '"targets": [false]') + "]}"),
+        ("arity_bound", '{"num_qubits": 1, "labels": [{"var": 1}], "gates": [], "output_qubit": 0,'
+                        ' "arity_bound": true}'),
+        ("matrix entry 0", '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": ['
+                           + _X_GATE.replace("[[0, 0]", "[[true, 0]") + "]}"),
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, field, text):
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=field):
+        read_circuit(path)
+
+
+def test_non_numeric_matrix_entry_is_a_format_error(tmp_path):
+    path = tmp_path / "strmat.json"
+    path.write_text(
+        '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": ['
+        + _X_GATE.replace("[[0, 0]", '[["0", 0]') + "]}"
+    )
+    with pytest.raises(FormatError, match=r"gates\[0\]: matrix entry 0"):
         read_circuit(path)
 
 

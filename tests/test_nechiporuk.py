@@ -18,7 +18,7 @@ from qformula import (
     variable,
 )
 from qformula.gates import CNOT
-from qformula.nechiporuk import bound_term, ed_parameters
+from qformula.nechiporuk import SigmaCheckError, bound_term, ed_parameters
 
 
 def test_xor3_singleton_block_has_two_subfunctions():
@@ -114,6 +114,26 @@ def test_ed3_sigma_check():
     assert report.binomial == math.comb(9, 2) == 36
     assert report.symmetric
     assert all(s >= 36 for s in report.sigmas)
+
+
+def test_sigma_check_failures_are_typed_errors(monkeypatch):
+    import types
+
+    import qformula.nechiporuk
+
+    sigmas = iter([4, 5])
+    monkeypatch.setattr(
+        qformula.nechiporuk, "subfunctions",
+        lambda f, partition, j: types.SimpleNamespace(sigma=next(sigmas)),
+    )
+    with pytest.raises(SigmaCheckError, match="blocks disagree"):
+        ed_sigma_check(2)
+    monkeypatch.setattr(
+        qformula.nechiporuk, "subfunctions",
+        lambda f, partition, j: types.SimpleNamespace(sigma=1),
+    )
+    with pytest.raises(SigmaCheckError, match="< C"):
+        ed_sigma_check(2)
 
 
 def test_bound_invariant_under_block_and_variable_permutations():

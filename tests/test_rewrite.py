@@ -22,7 +22,7 @@ from qformula import (
 )
 from qformula.circuit import Circuit, Gate
 from qformula.gates import CNOT, X, random_unitary
-from qformula.rewrite import VerificationError
+from qformula.rewrite import NumericalError, VerificationError
 from qformula.samples import (
     nonformula_example,
     random_formula,
@@ -342,6 +342,34 @@ def test_two_completions_give_identical_probabilities():
     assert np.max(
         np.abs(probability_vector(variant) - probability_vector(squeezed.circuit))
     ) <= 1e-12
+
+
+def test_every_corpus_composite_is_unitary_and_keeps_its_columns(corpus):
+    checked = 0
+    for member in corpus:
+        f_rho = restrict(member.formula, member.block, member.restriction)
+        squeezed = squeeze_all(f_rho, verify=False)
+        for step, record in zip(squeezed.composite_steps, squeezed.records):
+            u = squeezed.circuit.gates[step - 1].matrix
+            assert np.max(np.abs(u.conj().T @ u - np.eye(64))) <= 1e-10
+            for a0 in (0, 1):
+                for a1 in (0, 1):
+                    column = u[:, (a0 << 5) | (a1 << 4)].reshape(2, 2, 16)
+                    assert np.array_equal(column[..., : record.rank], record.coefficients[a0, a1])
+                    assert not np.any(column[..., record.rank :])
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "order",
+    [range(63), [0] * 64, range(1, 65), np.arange(64.0), np.arange(64).reshape(8, 8)],
+    ids=["short", "repeated", "out-of-range", "float", "2d"],
+)
+def test_candidate_order_must_be_a_permutation(order):
+    record = squeeze_all(two_path_example(), verify=False).records[0]
+    with pytest.raises(NumericalError, match="permutation"):
+        build_composite_gate(record, candidate_order=order)
 
 
 # ---------------------------------------------------------------------------
