@@ -31,6 +31,7 @@ from .simulator import (
     Outcome,
     SimulationError,
     apply_gate,
+    contract_formula,
     evaluate,
     probability_vector,
     run,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, InputLabel, constant, variable
 from .gates import H, I2, X, unitary_deviation
-from .simulator import apply_gate, initial_state, output_probability
+from .simulator import decide, final_states
 
 E = math.e
 
@@ -286,7 +286,6 @@ def enumerate_functions(
         for targets in itertools.permutations(range(num_qubits), arity):
             placements.append((name, matrix, targets))
 
-    assignments = list(itertools.product((0, 1), repeat=n))
     found: set[str] = set()
     scanned = 0
     undetermined = 0
@@ -305,21 +304,16 @@ def enumerate_functions(
                 output_qubit=0,
                 arity_bound=max(arity_bound, 1),
             )
-            # one state per assignment serves every output-line choice
-            probs = np.empty((len(assignments), num_qubits))
-            for row, alpha in enumerate(assignments):
-                state = initial_state(base, alpha)
-                for gate in gates:
-                    state = apply_gate(state, gate, num_qubits)
-                for q in range(num_qubits):
-                    probs[row, q] = output_probability(state, q, num_qubits).p1
+            # one batch of final states serves every output-line choice
+            weights = np.abs(final_states(base, 0, 2 ** n)) ** 2
             for q in range(num_qubits):
                 scanned += 1
-                column = probs[:, q]
-                if np.any((column >= 1 / 3) & (column <= 2 / 3)):
+                others = tuple(a for a in range(num_qubits) if a != q)
+                decided = decide(weights.sum(axis=others)[1])
+                if np.any(decided < 0):
                     undetermined += 1
                     continue
-                found.add("".join("1" if p > 2 / 3 else "0" for p in column))
+                found.add("".join(map(str, decided)))
     return EnumerationResult(
         n=n,
         tables=tuple(sorted(found)),

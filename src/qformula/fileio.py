@@ -13,9 +13,9 @@ pairs, length 4^k for k targets.  Floats are written with repr
 precision, so a write/read round trip reproduces every matrix
 bit-exactly.  Integer fields reject JSON booleans.
 
-Truth-table files are two lines: the variable count n, then 2^n
-characters of 0/1 where the index is read with x1 as the most
-significant bit.  Partition files list one block per line as
+Truth-table files are exactly two lines (trailing blank lines aside):
+the variable count n, then 2^n characters of 0/1 where the index is read
+with x1 as the most significant bit.  Partition files list one block per line as
 space-separated variable indices.
 """
 from __future__ import annotations
@@ -162,8 +162,10 @@ def write_circuit(circuit: Circuit, path) -> None:
 
 def read_truth_table(path) -> tuple[int, np.ndarray]:
     """Read (n, bits) from a truth-table file; bits has length 2^n."""
-    lines = Path(path).read_text(encoding="utf-8").split()
-    _require(len(lines) >= 2, f"{path}: expected a count line and a bits line")
+    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    while lines and not lines[-1]:
+        lines.pop()
+    _require(len(lines) == 2, f"{path}: expected a count line and a bits line, nothing else")
     try:
         n = int(lines[0])
     except ValueError:

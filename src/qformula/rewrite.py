@@ -43,7 +43,7 @@ from .analysis import (
     path_sets,
 )
 from .circuit import Circuit, Gate, InputLabel, constant, variable
-from .simulator import apply_gate, probability_vector
+from .simulator import final_states, probability_vector
 
 RECONSTRUCTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -307,8 +307,8 @@ def squeeze_path(
     basis of the companion register.
 
     Runs the companion preparation plus the segment's inner gates from
-    each of the four basis inputs on the two head lines (companion lines
-    start at their constant labels), splits the results on the head
+    the four basis inputs on the two head lines as one batch (companion
+    lines start at their constant labels), splits the results on the head
     lines, and orthonormalizes the 16 companion vectors.  The expansion
     is verified to reconstruct the vectors within 1e-10 and to be an
     isometry on the four inputs.
@@ -328,24 +328,18 @@ def squeeze_path(
     sim_gates = sorted(
         list(preps) + [h.gate for h in segment.inner_hops], key=lambda g: g.step
     )
-    const_bits = tuple(circuit.labels[c].const for c in order)
-
-    vectors = np.empty((2, 2, 2, 2, 2 ** v), dtype=complex)
-    for a0 in (0, 1):
-        for a1 in (0, 1):
-            index = (a0 << (width - 1)) | (a1 << (width - 2))
-            for i, bit in enumerate(const_bits):
-                index |= bit << (width - 3 - i)
-            state = np.zeros(2 ** width, dtype=complex)
-            state[index] = 1.0
-            for gate in sim_gates:
-                mapped = Gate(
-                    step=gate.step,
-                    targets=tuple(local[t] for t in gate.targets),
-                    matrix=gate.matrix,
-                )
-                state = apply_gate(state, mapped, width)
-            vectors[a0, a1] = state.reshape(2, 2, 2 ** v)
+    # the four head inputs (a0, a1) are the assignments of a two-variable
+    # circuit on the local lines, simulated as one batch
+    local_circuit = Circuit(
+        num_qubits=width,
+        labels=(variable(1), variable(2), *(circuit.labels[c] for c in order)),
+        gates=tuple(
+            Gate(step=g.step, targets=tuple(local[t] for t in g.targets), matrix=g.matrix)
+            for g in sim_gates
+        ),
+        output_qubit=0,
+    )
+    vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
 
     flat = vectors.reshape(16, 2 ** v)
     basis_list, rank = orthonormalize(list(flat), tol=rank_tol)

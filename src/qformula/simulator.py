@@ -1,30 +1,115 @@
-"""Exact state-vector execution and Boolean acceptance semantics.
+"""Exact simulation and Boolean acceptance semantics.
 
-A circuit acts on a dense vector of 2^m amplitudes.  Running it on a
-Boolean assignment starts from the basis state determined by the input
-labels, applies the gates in step order, and reads the probability that
-the output qubit is 1.  A circuit computes a Boolean function f when
-p > 2/3 on every 1-input and p < 1/3 on every 0-input; anything in the
-closed band [1/3, 2/3] is undetermined.
+Running a circuit on a Boolean assignment starts from the basis state
+determined by the input labels, applies the gates, and reads the
+probability p that the output qubit is 1.  A circuit computes a Boolean
+function f when p > 2/3 on every 1-input and p < 1/3 on every 0-input;
+anything in the closed band [1/3, 2/3] is undetermined.
 
-The simulator deliberately follows step order and never reorders
-commuting gates, so it can serve as the trusted oracle for the rewrite
-passes.  Everything here is deterministic and side-effect free.
+Two simulators share one gate kernel, ``_apply``, which acts on the
+leading qubit axes of a tensor and leaves any trailing batch axes alone:
+
+* The state vector (``run``, ``probability_vector``, ``final_states``)
+  holds 2^m amplitudes per assignment and applies every gate in step
+  order, never reordering commuting gates, so it is the trusted oracle
+  for the rewrite passes.  ``probability_vector`` pushes the assignments
+  through in batches of at most ``CHUNK_AMPLITUDES`` amplitudes.  Only
+  this path is capped at ``max_qubits`` lines.
+* The tree contraction (``contract_formula``) needs a formula.  Each
+  gate of the computation graph combines its children's reduced density
+  matrices with the basis states of its bare input lines, applies
+  U rho U^dagger and traces out the lines that do not go to its parent;
+  gates outside the graph drop out.  Messages have at most 2^k x 2^k
+  entries for a k-qubit gate, whatever the line count.
+
+``evaluate`` dispatches on ``is_formula``: formulas take the
+contraction, everything else the state vector.  One threshold rule,
+``decide``, turns probabilities into verdicts for ``evaluate`` and for
+the counting module.  Both batched paths check every assignment's norm
+(or trace) against 1 within 1e-10.  Everything here is deterministic
+and side-effect free.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 import numpy as np
 
+from .analysis import NotAFormulaError, _line_maps, computation_graph, is_formula
 from .circuit import Circuit, Gate
 
 DEFAULT_MAX_QUBITS = 20
 NORM_TOL = 1e-10
+# p this close to 1/3 or 2/3 is re-decided by the state vector
+BOUNDARY_TOL = 1e-12
+# complex numbers a batch of assignments may hold: one state-vector array,
+# or everything a tree contraction keeps at once.  At 2^13 (128 KiB) a
+# batch stays in cache, and a 2-qubit gate's product over it stays below
+# the size at which OpenBLAS hands it to extra threads, which stall when
+# the other cores are busy.
+CHUNK_AMPLITUDES = 2 ** 13
+_EINSUM_AXES = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class SimulationError(ValueError):
     """Inputs to the simulator are malformed."""
+
+
+def _apply(tensor: np.ndarray, gate, out: np.ndarray | None = None) -> np.ndarray:
+    """The gate kernel: act on the qubit axes ``gate.targets``.
+
+    ``tensor`` has one axis of size 2 per qubit followed by any number
+    of batch axes, which pass through untouched.  The result is written
+    to ``out`` when given: a contiguous array of the tensor's size, which
+    may be the very buffer ``tensor`` views, so a batched pass holds two
+    arrays at a time, not three.
+    """
+    # bring the target axes to the front, act with the matrix on them,
+    # then put every axis back where it was
+    order = [*gate.targets, *(a for a in range(tensor.ndim) if a not in gate.targets)]
+    front = tensor.transpose(order)
+    flat = front.reshape(2 ** gate.arity, -1)
+    product = np.matmul(gate.matrix, flat, out=None if out is None else out.reshape(flat.shape))
+    back = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
+    return product.reshape(front.shape).transpose(back)
+
+
+def _steps(circuit: Circuit) -> list[Gate]:
+    return sorted(circuit.gates, key=lambda g: g.step)
+
+
+def _alpha(index: int, n: int) -> tuple[int, ...]:
+    """Assignment bits of a scan index, x1 first."""
+    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
+
+
+def _line_values(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
+    """Input bit of every line for assignments lo..hi-1, shape (m, hi - lo)."""
+    n = circuit.num_variables
+    index = np.arange(lo, hi)
+    return np.array([
+        (index >> (n - lb.var)) & 1 if lb.var is not None
+        else np.full(hi - lo, lb.const)
+        for lb in circuit.labels
+    ]).reshape(circuit.num_qubits, hi - lo)
+
+
+def _check_drift(values: np.ndarray, lo: int, n: int, what: str) -> None:
+    """Raise naming the first assignment whose value is not 1 within 1e-10."""
+    bad = np.flatnonzero(~(np.abs(values - 1.0) <= NORM_TOL))
+    if bad.size:
+        alpha = "".join(map(str, _alpha(lo + int(bad[0]), n)))
+        raise SimulationError(f"{what} drifted to {values[bad[0]]} at assignment {alpha}")
+
+
+def _require_cap(circuit: Circuit, max_qubits: int) -> None:
+    if circuit.num_qubits > max_qubits:
+        raise SimulationError(
+            f"{circuit.num_qubits} qubits exceeds the simulation cap {max_qubits}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# state vector: the step-order oracle
 
 
 def initial_state(circuit: Circuit, assignment) -> np.ndarray:
@@ -60,13 +145,7 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> 
         raise SimulationError(f"gate targets {gate.targets} exceed {num_qubits} qubits")
     if gate.matrix.shape != (2 ** k, 2 ** k):
         raise SimulationError(f"matrix shape {gate.matrix.shape} for {k} targets")
-    tensor = state.reshape([2] * num_qubits)
-    op = gate.matrix.reshape([2] * (2 * k))
-    # contract the gate's column axes against the target axes, then put
-    # the produced axes back where the targets were
-    moved = np.tensordot(op, tensor, axes=(range(k, 2 * k), gate.targets))
-    out = np.moveaxis(moved, range(k), gate.targets)
-    return out.reshape(-1)
+    return _apply(state.reshape([2] * num_qubits), gate).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -95,35 +174,176 @@ def run(
 ) -> tuple[np.ndarray, Outcome]:
     """Execute the circuit on one assignment; returns (state, outcome).
 
-    Gates are applied in step order.  The final norm is asserted to be
+    Gates are applied in step order.  The final norm is required to be
     1 within 1e-10; a drift beyond that indicates a non-unitary gate
     slipped past validation.
     """
-    if circuit.num_qubits > max_qubits:
-        raise SimulationError(
-            f"{circuit.num_qubits} qubits exceeds the simulation cap {max_qubits}"
-        )
+    _require_cap(circuit, max_qubits)
     if check:
         circuit.check()
-    state = initial_state(circuit, assignment)
-    for gate in sorted(circuit.gates, key=lambda g: g.step):
-        state = apply_gate(state, gate, circuit.num_qubits)
+    m = circuit.num_qubits
+    buffer = initial_state(circuit, assignment)
+    tensor = buffer.reshape([2] * m)
+    for gate in _steps(circuit):
+        tensor = _apply(tensor, gate, buffer)
+    state = tensor.reshape(-1)
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > NORM_TOL:
         raise SimulationError(f"state norm drifted to {norm}")
-    return state, output_probability(state, circuit.output_qubit, circuit.num_qubits)
+    return state, output_probability(state, circuit.output_qubit, m)
+
+
+def final_states(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
+    """Final states of assignments lo..hi-1 (scan order) as one batch.
+
+    The result has one axis per qubit and a trailing batch axis of size
+    hi - lo.  Gates run in step order; the circuit is not re-checked and
+    the caller sizes the batch.
+    """
+    m = circuit.num_qubits
+    index = (1 << np.arange(m - 1, -1, -1)) @ _line_values(circuit, lo, hi)
+    state = np.zeros((2 ** m, hi - lo), dtype=complex)
+    state[index, np.arange(hi - lo)] = 1.0
+    tensor = state.reshape([2] * m + [hi - lo])
+    for gate in _steps(circuit):
+        tensor = _apply(tensor, gate, state)
+    return tensor
 
 
 def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """p1 for every assignment, indexed with x1 as the most significant bit."""
+    """p1 for every assignment, indexed with x1 as the most significant bit.
+
+    The state vector runs on batches of assignments holding at most
+    ``CHUNK_AMPLITUDES`` amplitudes (at least one assignment), and every
+    final state's norm is checked.
+    """
+    _require_cap(circuit, max_qubits)
     circuit.check()
-    n = circuit.num_variables
+    m, n = circuit.num_qubits, circuit.num_variables
+    others = tuple(q for q in range(m) if q != circuit.output_qubit)
+    batch = max(1, CHUNK_AMPLITUDES >> m)
     out = np.empty(2 ** n)
-    for idx in range(2 ** n):
-        bits = [(idx >> (n - 1 - j)) & 1 for j in range(n)]
-        _, outcome = run(circuit, bits, max_qubits=max_qubits, check=False)
-        out[idx] = outcome.p1
+    for lo in range(0, 2 ** n, batch):
+        hi = min(lo + batch, 2 ** n)
+        marginal = (np.abs(final_states(circuit, lo, hi)) ** 2).sum(axis=others)
+        _check_drift(np.sqrt(marginal.sum(axis=0)), lo, n, "state norm")
+        out[lo:hi] = marginal[1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# tree contraction for formulas
+
+
+@dataclass(frozen=True)
+class _Node:
+    """One computation-graph gate of the contraction schedule.
+
+    ``build`` is the einsum that joins the children's messages and the
+    bare lines' basis vectors (each given twice: rows, then columns)
+    into the gate's input density matrix; ``row`` and ``col`` apply U
+    and its conjugate to its row and column axes; ``trace`` reduces the
+    result to the lines that go to the parent (None when all of them do),
+    a message of ``size`` entries per assignment.
+    """
+
+    children: tuple[int, ...]
+    bare: tuple[int, ...]
+    build: str
+    row: Gate
+    col: Gate
+    trace: str | None
+    size: int
+
+
+def _schedule(circuit: Circuit) -> tuple[_Node, ...]:
+    """Nodes in step order, so children come before their parent."""
+    graph = computation_graph(circuit)
+    if not graph.is_tree:
+        raise NotAFormulaError("the tree contraction needs a formula")
+    prev_on, next_on, _, _ = _line_maps(circuit)
+    by_step = {g.step: g for g in circuit.gates}
+    parent = dict(graph.edges)
+    position = {step: i for i, step in enumerate(graph.gate_steps)}
+
+    def up_lines(step: int) -> tuple[int, ...]:
+        if step == graph.root_step:
+            return (circuit.output_qubit,)
+        return tuple(q for q in by_step[step].targets if next_on[(step, q)] == parent[step])
+
+    nodes = []
+    for step in graph.gate_steps:
+        gate = by_step[step]
+        k = gate.arity
+        row = {q: _EINSUM_AXES[i] for i, q in enumerate(gate.targets)}
+        col = {q: _EINSUM_AXES[k + i] for i, q in enumerate(gate.targets)}
+
+        def axes(lines):  # a density matrix on these lines, then the batch
+            return "".join(row[q] for q in lines) + "".join(col[q] for q in lines) + "..."
+
+        providers = [prev_on[(step, q)] for q in gate.targets]
+        children = list(dict.fromkeys(position[p] for p in providers if p is not None))
+        bare = [q for q, p in zip(gate.targets, providers) if p is None]
+        operands = [axes(up_lines(graph.gate_steps[c])) for c in children]
+        operands += [f"{side[q]}..." for q in bare for side in (row, col)]
+        up = up_lines(step)
+        traced = "".join(row.values()) + "".join((col if q in up else row)[q] for q in gate.targets)
+        nodes.append(_Node(
+            children=tuple(children),
+            bare=tuple(bare),
+            build=",".join(operands) + "->" + axes(gate.targets),
+            row=Gate(step, tuple(range(k)), gate.matrix),
+            col=Gate(step, tuple(range(k, 2 * k)), gate.matrix.conj()),
+            trace=None if len(up) == k else traced + "...->" + axes(up),
+            size=4 ** len(up),
+        ))
+    return tuple(nodes)
+
+
+def contract_formula(circuit: Circuit) -> np.ndarray:
+    """p1 for every assignment of a formula, by bottom-up tree contraction.
+
+    Indexed like ``probability_vector``; there is no line cap.  The
+    assignments go through in batches that hold at most
+    ``CHUNK_AMPLITUDES`` entries at any time (pending messages, plus the
+    current gate's input and the kernel's copy of it), and the trace of
+    every root message is checked.  Raises NotAFormulaError on a
+    non-formula.
+    """
+    circuit.check()
+    nodes = _schedule(circuit)
+    n = circuit.num_variables
+    if not nodes:
+        # no gate touches the output line: p is its input bit
+        return _line_values(circuit, 0, 2 ** n)[circuit.output_qubit].astype(float)
+    pending = peak = 0
+    for node in nodes:
+        peak = max(peak, pending + 2 * 4 ** node.row.arity)
+        pending += node.size - sum(nodes[c].size for c in node.children)
+    batch = max(1, CHUNK_AMPLITUDES // peak)
+    out = np.empty(2 ** n)
+    for lo in range(0, 2 ** n, batch):
+        hi = min(lo + batch, 2 ** n)
+        values = _line_values(circuit, lo, hi)
+        messages: list[np.ndarray | None] = []
+        for node in nodes:
+            operands = [messages[c] for c in node.children]
+            for q in node.bare:
+                basis = np.stack([1 - values[q], values[q]]).astype(complex)
+                operands += [basis, basis]
+            for c in node.children:
+                messages[c] = None  # consumed
+            joint = np.einsum(node.build, *operands)
+            rho = _apply(_apply(joint, node.row, joint), node.col, joint)
+            messages.append(rho if node.trace is None else np.einsum(node.trace, rho))
+        root = messages[-1]
+        _check_drift((root[0, 0] + root[1, 1]).real, lo, n, "root trace")
+        out[lo:hi] = root[1, 1].real
+    return out
+
+
+# ---------------------------------------------------------------------------
+# verdicts
 
 
 @dataclass(frozen=True)
@@ -147,15 +367,39 @@ class FunctionVerdict:
 COMPUTES = FunctionVerdict("computes")
 
 
+def decide(p) -> np.ndarray:
+    """The threshold rule: 1 where p > 2/3, 0 where p < 1/3, -1 otherwise.
+
+    The defining inequalities are strict, so p exactly at a threshold
+    (or NaN) is undetermined.
+    """
+    p = np.asarray(p, dtype=float)
+    return np.where(p > 2 / 3, 1, np.where(p < 1 / 3, 0, -1))
+
+
+def verdict(p, table_bits) -> FunctionVerdict:
+    """First assignment in scan order where ``decide(p)`` misses the table."""
+    p = np.asarray(p, dtype=float)
+    decided = decide(p)
+    failing = np.flatnonzero(decided != np.asarray(table_bits).reshape(-1))
+    if not failing.size:
+        return COMPUTES
+    idx = int(failing[0])
+    status = "undetermined" if decided[idx] < 0 else "fails"
+    return FunctionVerdict(status, _alpha(idx, p.size.bit_length() - 1), float(p[idx]))
+
+
 def evaluate(
     circuit: Circuit, table_bits, *, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> FunctionVerdict:
     """Compare the circuit against a truth table over its variables.
 
-    The table is indexed with x1 as the most significant bit.  The scan
-    runs in assignment order and reports the first failure; p exactly at
-    a threshold counts as undetermined because the defining inequalities
-    are strict.
+    The table is indexed with x1 as the most significant bit; the first
+    failing assignment in that order is reported.  Formulas go through
+    ``contract_formula``, which has no line cap; an assignment whose p
+    lands within 1e-12 of a threshold is re-decided by ``run`` (when the
+    circuit fits under ``max_qubits``), so the verdict is the state
+    vector's.  Other circuits go through ``probability_vector``.
     """
     circuit.check()
     n = circuit.num_variables
@@ -164,32 +408,27 @@ def evaluate(
         raise SimulationError(f"truth table has {bits.size} entries, expected {2 ** n}")
     if not np.all((bits == 0) | (bits == 1)):
         raise SimulationError("truth table entries must be 0/1")
-    for idx in range(2 ** n):
-        alpha = tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
-        _, outcome = run(circuit, alpha, max_qubits=max_qubits, check=False)
-        p = outcome.p1
-        if 1 / 3 <= p <= 2 / 3:
-            return FunctionVerdict("undetermined", alpha, p)
-        expected = int(bits[idx])
-        if (p > 2 / 3) != (expected == 1):
-            return FunctionVerdict("fails", alpha, p)
-    return COMPUTES
+    if not is_formula(circuit):
+        return verdict(probability_vector(circuit, max_qubits=max_qubits), bits)
+    p = contract_formula(circuit)
+    if circuit.num_qubits <= max_qubits:
+        near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
+        for idx in np.flatnonzero(near):
+            p[idx] = run(circuit, _alpha(int(idx), n), check=False)[1].p1
+    return verdict(p, bits)
 
 
 def to_unitary(circuit: Circuit, *, max_qubits: int = 12) -> np.ndarray:
-    """Full 2^m x 2^m operator of the circuit (column-by-column batch)."""
+    """Full 2^m x 2^m operator of the circuit: the kernel on the identity."""
     m = circuit.num_qubits
     if m > max_qubits:
         raise SimulationError(f"to_unitary capped at {max_qubits} qubits, got {m}")
     dim = 2 ** m
-    u = np.eye(dim, dtype=complex)
-    for gate in sorted(circuit.gates, key=lambda g: g.step):
-        k = gate.arity
-        tensor = u.reshape([2] * m + [dim])
-        op = gate.matrix.reshape([2] * (2 * k))
-        moved = np.tensordot(op, tensor, axes=(range(k, 2 * k), gate.targets))
-        u = np.moveaxis(moved, range(k), gate.targets).reshape(dim, dim)
-    return u
+    eye = np.eye(dim, dtype=complex)
+    u = eye.reshape([2] * m + [dim])
+    for gate in _steps(circuit):
+        u = _apply(u, gate, eye)
+    return u.reshape(dim, dim)
 
 
 def embed_gate(gate: Gate, num_qubits: int) -> np.ndarray:

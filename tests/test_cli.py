@@ -82,6 +82,37 @@ def test_evaluate_verdict(tmp_path, capsys):
     assert json.loads(out)["status"] == "computes"
 
 
+@pytest.mark.parametrize("sample", [formula_example, nonformula_example])
+def test_evaluate_json_on_both_paths(tmp_path, capsys, sample):
+    from qformula.simulator import decide, probability_vector
+
+    circuit = sample()
+    circuit_path = tmp_path / "c.json"
+    table_path = tmp_path / "c.tt"
+    write_circuit(circuit, circuit_path)
+    table = [max(int(d), 0) for d in decide(probability_vector(circuit))]
+    write_truth_table(circuit.num_variables, table, table_path)
+    code, out, _ = run_cli(
+        capsys, "evaluate", "-c", str(circuit_path), "-f", str(table_path), "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    expected = "computes" if min(decide(probability_vector(circuit))) >= 0 else "undetermined"
+    assert payload["status"] == expected
+
+
+def test_evaluate_rejects_truth_table_with_trailing_text(tmp_path, capsys):
+    from qformula.samples import toffoli_and_circuit
+
+    circuit_path = tmp_path / "and.json"
+    table_path = tmp_path / "and.tt"
+    write_circuit(toffoli_and_circuit(), circuit_path)
+    table_path.write_text("2\n0001\ngarbage 7\n")
+    code, _, err = run_cli(capsys, "evaluate", "-c", str(circuit_path), "-f", str(table_path))
+    assert code == 1
+    assert "count line and a bits line" in err
+
+
 def test_squeeze_cli_roundtrip(tmp_path, capsys):
     source = tmp_path / "two_path.json"
     target = tmp_path / "squeezed.json"

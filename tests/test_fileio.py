@@ -176,6 +176,38 @@ def test_truth_table_length_mismatch(tmp_path):
         read_truth_table(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2\n0110\ngarbage 7\n", "2\n0110\n1\n", "2 0110\n", "\n2\n0110\n", "2\n0110 1\n"],
+    ids=["trailing-garbage", "third-line", "one-line", "leading-blank", "two-fields"],
+)
+def test_truth_table_rejects_anything_but_two_lines(tmp_path, text):
+    path = tmp_path / "bad.tt"
+    path.write_text(text)
+    with pytest.raises(FormatError):
+        read_truth_table(path)
+
+
+def test_truth_table_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "t.tt"
+    path.write_text("2\n0110\n\n\n")
+    n, bits = read_truth_table(path)
+    assert (n, list(bits)) == (2, [0, 1, 1, 0])
+
+
+def test_emitted_ed_tables_round_trip(tmp_path, capsys):
+    from qformula.cli import main
+
+    assert main(["ed", "--ell", "2", "--emit", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    n, bits = read_truth_table(tmp_path / "ed4.tt")
+    copy = tmp_path / "copy.tt"
+    write_truth_table(n, bits, copy)
+    assert copy.read_bytes() == (tmp_path / "ed4.tt").read_bytes()
+    n_back, bits_back = read_truth_table(copy)
+    assert n_back == n == 4 and list(bits_back) == list(bits)
+
+
 def test_partition_round_trip(tmp_path):
     path = tmp_path / "p.part"
     blocks = [frozenset({1, 2}), frozenset({3, 4})]
