@@ -9,6 +9,7 @@ JSON object with stable key order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -358,6 +359,7 @@ def _cmd_verify_lemmas(args) -> int:
     return 0 if payload["passed"] else 2
 
 
+@functools.cache  # built on first use, shared by every call in the process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,11 +7,17 @@ Circuit files are UTF-8 JSON:
      "gates": [{"step": s, "targets": [q, ...], "matrix": [[re, im], ...]}, ...],
      "output_qubit": q}
 
-Files are written as compact JSON (no indentation, so the C encoder
-does the work).  Matrix arrays are row-major flat lists of [re, im]
-pairs, length 4^k for k targets.  Floats are written with repr
-precision, so a write/read round trip reproduces every matrix
-bit-exactly.  Integer fields reject JSON booleans.
+Matrix arrays are row-major flat lists of [re, im] pairs, length 4^k
+for k targets.  ``write_circuit`` writes exactly the bytes of
+``json.dumps(circuit_to_json(circuit)) + "\\n"`` (compact, one line) but
+builds the text itself: an entry whose parts are both +0.0 is the one
+shared string ``"[0.0, 0.0]"``, and only the other entries become Python
+floats, spelled as ``json`` spells them (repr, or ``NaN``/``Infinity``/
+``-Infinity``).  Floats keep repr precision, so a write/read round trip
+reproduces every matrix bit-exactly.  Integer fields reject JSON
+booleans; a label has a ``var`` or a ``const``, not both.  Anything the
+reader cannot decode (not UTF-8, not JSON, nested too deep, a number too
+large for a float) is a ``FormatError``.
 
 Truth-table files are exactly two lines (trailing blank lines aside):
 the variable count n, then 2^n characters of 0/1 where the index is read
@@ -51,8 +57,11 @@ def _label_to_json(label: InputLabel) -> dict:
 
 def _label_from_json(obj, where: str) -> InputLabel:
     _require(isinstance(obj, dict), f"{where}: label must be an object")
+    _require(not ("var" in obj and "const" in obj),
+             f"{where}: label has both 'var' and 'const'")
     if "var" in obj:
-        _require(_is_int(obj["var"]), f"{where}: var must be an integer")
+        _require(_is_int(obj["var"]) and obj["var"] >= 1,
+                 f"{where}: var must be an integer >= 1")
         return InputLabel(var=obj["var"])
     if "const" in obj:
         _require(_is_int(obj["const"]) and obj["const"] in (0, 1),
@@ -64,6 +73,26 @@ def _label_from_json(obj, where: str) -> InputLabel:
 def _matrix_to_json(matrix: np.ndarray) -> list[list[float]]:
     flat = np.asarray(matrix, dtype=complex).reshape(-1)
     return np.stack([flat.real, flat.imag], axis=1).tolist()
+
+
+_ZERO_ENTRY = "[0.0, 0.0]"
+
+
+def _matrix_text(matrix: np.ndarray) -> str:
+    """``json.dumps(_matrix_to_json(matrix))`` without a float per zero entry."""
+    flat = np.ascontiguousarray(matrix, dtype=complex).reshape(-1)
+    pairs = flat.view(np.float64).reshape(-1, 2)
+    # bit pattern 0 is +0.0 only; -0.0 entries take the general path
+    nonzero = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
+    entries = [_ZERO_ENTRY] * flat.size
+    kept = pairs[nonzero]
+    if np.isfinite(kept).all():
+        texts = [f"[{re!r}, {im!r}]" for re, im in kept.tolist()]
+    else:
+        texts = [json.dumps(pair) for pair in kept.tolist()]  # NaN, Infinity, -Infinity
+    for i, text in zip(nonzero.tolist(), texts):
+        entries[i] = text
+    return "[" + ", ".join(entries) + "]"
 
 
 def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
@@ -80,11 +109,15 @@ def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
             and all(_is_int(x) or isinstance(x, float) for x in pair),
             f"{where}: matrix entry {i} must be an [re, im] pair of numbers",
         )
-        values.append(complex(pair[0], pair[1]))
+        try:
+            values.append(complex(pair[0], pair[1]))
+        except OverflowError:
+            raise FormatError(f"{where}: matrix entry {i} is too large for a float") from None
     return np.array(values, dtype=complex).reshape(dim, dim)
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
+    """The circuit as a dict; ``write_circuit`` writes its ``json.dumps``."""
     return {
         "num_qubits": circuit.num_qubits,
         "arity_bound": circuit.arity_bound,
@@ -143,11 +176,14 @@ def circuit_from_json(obj) -> Circuit:
 
 
 def read_circuit(path) -> Circuit:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return circuit_from_json(obj)
     except FormatError as exc:
@@ -155,8 +191,20 @@ def read_circuit(path) -> Circuit:
 
 
 def write_circuit(circuit: Circuit, path) -> None:
+    """Write ``json.dumps(circuit_to_json(circuit)) + "\\n"``, byte for byte."""
+    head = json.dumps({
+        "num_qubits": circuit.num_qubits,
+        "arity_bound": circuit.arity_bound,
+        "labels": [_label_to_json(lb) for lb in circuit.labels],
+    })
+    gates = ", ".join(
+        f'{{"step": {json.dumps(g.step)}, "targets": {json.dumps(list(g.targets))}, '
+        f'"matrix": {_matrix_text(g.matrix)}}}'
+        for g in circuit.gates
+    )
     Path(path).write_text(
-        json.dumps(circuit_to_json(circuit)) + "\n", encoding="utf-8"
+        f'{head[:-1]}, "gates": [{gates}], "output_qubit": {json.dumps(circuit.output_qubit)}}}\n',
+        encoding="utf-8",
     )
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensor import expansion_coefficients, orthonormalize
+from .tensor import _gram_schmidt, expansion_coefficients
 from .analysis import (
     CompanionSet,
     PathSegment,
@@ -342,7 +342,9 @@ def squeeze_path(
     vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
 
     flat = vectors.reshape(16, 2 ** v)
-    basis_list, rank = orthonormalize(list(flat), tol=rank_tol)
+    # one SVD gives the Gram-Schmidt scale and the borderline margin
+    sing = np.linalg.svd(flat, compute_uv=False)
+    basis_list, rank = _gram_schmidt(flat, float(sing[0]), rank_tol)
     if not 1 <= rank <= 16:
         raise NumericalError(f"companion basis rank {rank} outside 1..16")
     basis = np.array(basis_list)
@@ -356,8 +358,7 @@ def squeeze_path(
     if float(np.max(np.abs(weights - 1.0))) > RECONSTRUCTION_TOL:
         raise NumericalError("expansion is not an isometry on the head inputs")
 
-    sing = np.linalg.svd(flat, compute_uv=False)
-    threshold = rank_tol * (sing[0] if sing.size else 1.0)
+    threshold = rank_tol * sing[0]
     borderline = bool(np.any((sing > threshold / 10) & (sing < threshold * 10)))
 
     return SqueezeRecord(

@@ -56,7 +56,14 @@ def orthonormalize(
     if any(r.size != dim for r in rows):
         raise DimensionError("vectors must share one dimension")
     stacked = np.array(rows)
-    scale = float(np.linalg.norm(stacked, 2))
+    return _gram_schmidt(stacked, float(np.linalg.norm(stacked, 2)), tol)
+
+
+def _gram_schmidt(
+    rows: np.ndarray, scale: float, tol: float
+) -> tuple[list[np.ndarray], int]:
+    """``orthonormalize`` of the rows of a 2-D array whose spectral norm
+    ``scale`` the caller already has (the largest singular value)."""
     if scale == 0.0:
         return [], 0
     threshold = tol * scale

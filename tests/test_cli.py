@@ -275,3 +275,55 @@ def test_squeezed_file_reproduces_probabilities(tmp_path, capsys):
     p_original = probability_vector(read_circuit(source))
     p_squeezed = probability_vector(read_circuit(target))
     assert np.max(np.abs(p_original - p_squeezed)) <= 1e-9
+
+
+def test_calls_in_one_process_share_one_parser(tmp_path, capsys):
+    from qformula import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    source = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), source)
+    with pytest.raises(SystemExit) as err:
+        main(["squeeze", "--bogus"])
+    assert err.value.code == 64
+    code, out, _ = run_cli(capsys, "squeeze", "-c", str(source), "--json")
+    assert code == 0
+    assert json.loads(out)["path_ranks"] == [4, 4]
+
+
+def test_defaults_do_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+    from qformula import cli
+
+    source = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), source)
+    # --tol 1e-30 fails verification; the next call is back at the 1e-9 default
+    code, _, _ = run_cli(capsys, "squeeze", "-c", str(source), "--tol", "1e-30", "--json")
+    assert code == 2
+    code, out, _ = run_cli(capsys, "squeeze", "-c", str(source))
+    assert code == 0
+    assert out.startswith("gates: ")  # text report: --json did not carry over
+    seen = []
+    monkeypatch.setattr(cli, "run_all_sweeps", lambda cases, seed: seen.append(cases) or [])
+    assert run_cli(capsys, "verify-lemmas", "--cases", "3")[0] == 0
+    assert run_cli(capsys, "verify-lemmas")[0] == 0
+    assert seen == [3, 1000]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": [{"step": 1,'
+        b' "targets": [0], "matrix": [[' + b"9" * 401 + b", 0], [1, 0], [1, 0], [0, 0]]}]}",
+        b"[" * 100_000,
+        b'{"num_qubits": 1, "labels": [{"var": 1}], "gates": [], "output_qubit": 0, "\xe9": 0}',
+        b'{"num_qubits": 1, "labels": [{"var": 1, "const": 0}], "gates": [], "output_qubit": 0}',
+    ],
+    ids=["int-too-large-for-float", "deep-nesting", "not-utf8", "var-and-const"],
+)
+def test_unreadable_circuit_files_exit_1_without_traceback(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "analyze", "-c", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

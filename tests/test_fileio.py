@@ -1,16 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from qformula import (
+    Circuit,
     FormatError,
+    Gate,
+    constant,
     read_circuit,
     read_partition,
     read_truth_table,
+    restrict,
     squeeze_all,
+    variable,
     write_circuit,
     write_partition,
     write_truth_table,
 )
+from qformula.fileio import circuit_to_json
 from qformula.samples import (
     formula_example,
     nonformula_example,
@@ -158,6 +166,91 @@ def test_non_numeric_matrix_entry_is_a_format_error(tmp_path):
         + _X_GATE.replace("[[0, 0]", '[["0", 0]') + "]}"
     )
     with pytest.raises(FormatError, match=r"gates\[0\]: matrix entry 0"):
+        read_circuit(path)
+
+
+def _assert_written_as_json_dumps(circuit, path):
+    """The writer's bytes are ``json.dumps(circuit_to_json(c)) + "\\n"``."""
+    write_circuit(circuit, path)
+    assert path.read_bytes() == (json.dumps(circuit_to_json(circuit)) + "\n").encode()
+
+
+def test_writer_bytes_match_json_dumps_on_corpus_and_squeezed_outputs(tmp_path, corpus):
+    path = tmp_path / "member.json"
+    for member in corpus:
+        _assert_written_as_json_dumps(member.formula, path)
+        restricted = restrict(member.formula, member.block, member.restriction)
+        _assert_written_as_json_dumps(squeeze_all(restricted).circuit, path)
+
+
+def _one_qubit(matrix):
+    return Circuit(
+        num_qubits=1,
+        labels=(constant(0),),
+        gates=(Gate(step=1, targets=(0,), matrix=np.array(matrix, dtype=complex)),),
+        output_qubit=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]],
+        [[5e-324, complex(0.0, 5e-324)], [complex(1e-17, -1e-17), 1.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[np.nan, complex(0.0, np.inf)], [complex(-np.inf, np.nan), 0.0]],
+    ],
+    ids=["negative-zeros", "tiny", "identity", "nan-and-inf"],
+)
+def test_writer_bytes_match_json_dumps_on_special_entries(tmp_path, matrix):
+    path = tmp_path / "special.json"
+    circuit = _one_qubit(matrix)
+    _assert_written_as_json_dumps(circuit, path)
+    back = read_circuit(path)
+    flat, flat_back = circuit.gates[0].matrix.reshape(-1), back.gates[0].matrix.reshape(-1)
+    # every value comes back, NaN positions and the sign of every zero included
+    assert np.array_equal(flat, flat_back, equal_nan=True)
+    assert np.array_equal(np.signbit(flat.real), np.signbit(flat_back.real))
+    assert np.array_equal(np.signbit(flat.imag), np.signbit(flat_back.imag))
+
+
+def test_writer_bytes_match_json_dumps_without_gates(tmp_path):
+    circuit = Circuit(num_qubits=2, labels=(variable(1), constant(1)), gates=(), output_qubit=1)
+    _assert_written_as_json_dumps(circuit, tmp_path / "empty.json")
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [('{"var": 1, "const": 0}', "label has both"), ('{"var": 0}', "var must be"),
+     ('{"var": -1}', "var must be")],
+    ids=["var-and-const", "var-0", "var-negative"],
+)
+def test_malformed_labels_are_format_errors(tmp_path, label, message):
+    path = tmp_path / "label.json"
+    path.write_text(
+        '{"num_qubits": 1, "labels": [' + label + '], "gates": [], "output_qubit": 0}'
+    )
+    with pytest.raises(FormatError, match=r"labels\[0\]: " + message):
+        read_circuit(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (('{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": ['
+          + _X_GATE.replace("[[0, 0]", "[[" + "9" * 401 + ", 0]") + "]}").encode(),
+         r"gates\[0\]: matrix entry 0 is too large"),
+        (b'{"num_qubits": ' + b"9" * 5000 + b"}", "not valid JSON"),
+        (b"[" * 100_000, "not valid JSON"),
+        (b'{"num_qubits": 1, "labels": [{"var": 1}], "gates": [], "output_qubit": 0, "\xe9": 0}',
+         "not UTF-8"),
+    ],
+    ids=["int-too-large-for-float", "int-too-long-to-parse", "deep-nesting", "not-utf8"],
+)
+def test_undecodable_files_are_format_errors(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=message):
         read_circuit(path)
 
 

@@ -4,17 +4,41 @@ Random formulas go through ``run``, the batched ``probability_vector``,
 ``to_unitary`` and ``contract_formula``; random general circuits through
 the first three.  All must agree within 1e-12, and ``evaluate`` must
 give the verdict of a per-assignment ``run`` scan.
+
+Circuit files written by ``write_circuit`` are mutated (keys dropped,
+duplicated or added, values swapped for booleans, huge integers, nested
+lists and other types, text truncated); reading and checking them may
+only succeed or raise ``FormatError`` or ``InvalidCircuitError``.
 """
+import copy
+import functools
 import itertools
+import json
+import operator
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qformula import build_circuit, constant, contract_formula, evaluate, is_formula, run, variable
+from qformula import (
+    FormatError,
+    InvalidCircuitError,
+    build_circuit,
+    constant,
+    contract_formula,
+    evaluate,
+    is_formula,
+    read_circuit,
+    run,
+    squeeze_all,
+    variable,
+    write_circuit,
+)
 from qformula import simulator
 from qformula.gates import random_unitary
+from qformula.samples import formula_example, nonformula_example, two_path_example
 from qformula.simulator import initial_state, probability_vector, to_unitary
 
 TOL = 1e-12
@@ -161,3 +185,80 @@ def test_fuzz_general_circuits_agree_across_simulators(circuit, data):
     table = data.draw(st.lists(st.integers(0, 1), min_size=by_run.size, max_size=by_run.size))
     got = evaluate(circuit, table)
     assert (got.status, got.alpha) == _scan(circuit, table)
+
+
+@functools.cache
+def _mutation_sources():
+    return (
+        formula_example(),
+        nonformula_example(),
+        squeeze_all(two_path_example()).circuit,  # 64x64 composite gates
+    )
+
+
+# numbers of the right type but out of range, half the time; then other types
+JUNK = st.one_of(
+    st.sampled_from([0, -1, 2, 10 ** 400, -(10 ** 30), 1.5, 1e308]),
+    st.sampled_from([True, False, None, "x", [], {}, [[[[]]]], [1, 0], [True, 0],
+                     [10 ** 400, 0], {"var": 1, "const": 0}]),
+)
+KEYS = ["num_qubits", "arity_bound", "labels", "gates", "output_qubit",
+        "step", "targets", "matrix", "var", "const"]
+
+
+def _sites(node, trail=()):
+    """Paths to every node of a decoded file; a list longer than three
+    contributes its first two items and its last."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node)) if len(node) <= 3 else [0, 1, len(node) - 1]
+    else:
+        return
+    for key in keys:
+        yield trail + (key,)
+        yield from _sites(node[key], trail + (key,))
+
+
+def _mutate(root, data):
+    """Drop, swap or insert at one node of the decoded file."""
+    *trail, key = data.draw(st.sampled_from(list(_sites(root))))
+    parent = functools.reduce(operator.getitem, trail, root)
+    junk = copy.deepcopy(data.draw(JUNK))
+    op = data.draw(st.sampled_from(["drop", "swap", "insert"]))
+    if op == "drop":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = junk
+    elif isinstance(parent, list):
+        parent.insert(key, junk)
+    else:
+        parent[data.draw(st.sampled_from(KEYS + ["extra"]))] = junk
+
+
+# entries near 1e308 overflow in validate's U^dagger U (deviation inf: rejected)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_fuzz_mutated_circuit_files_raise_only_typed_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    write_circuit(data.draw(st.sampled_from(_mutation_sources())), path)
+    obj = json.loads(path.read_text())
+    for _ in range(1 + (data.draw(st.integers(0, 3)) == 0)):
+        _mutate(obj, data)
+    text = json.dumps(obj)
+    key = data.draw(st.sampled_from(KEYS))
+    junk = json.dumps(data.draw(JUNK))
+    where = data.draw(st.sampled_from(["none"] * 6 + ["before-first", "end-of-root"]))
+    if where == "before-first":  # the original value comes later and wins
+        text = text.replace(f'"{key}": ', f'"{key}": {junk}, "{key}": ', 1)
+    elif where == "end-of-root" and text.endswith("}"):  # the duplicate wins
+        text = text[:-1] + f', "{key}": {junk}}}'
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[: data.draw(st.integers(0, len(text)))]
+    path.write_text(text)
+    try:
+        read_circuit(path).check()
+    except (FormatError, InvalidCircuitError):
+        pass

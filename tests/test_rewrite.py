@@ -6,6 +6,7 @@ from qformula import (
     StructuralError,
     is_formula,
     build_circuit,
+    orthonormalize,
     build_composite_gate,
     constant,
     decompose_disjoint,
@@ -359,6 +360,31 @@ def test_every_corpus_composite_is_unitary_and_keeps_its_columns(corpus):
                     assert not np.any(column[..., record.rank :])
             checked += 1
     assert checked > 0
+
+
+def test_squeeze_path_rank_basis_and_margin_match_orthonormalize(corpus):
+    # squeeze_path takes the Gram-Schmidt scale and the borderline margin
+    # from one SVD; orthonormalize (spectral norm) and a second SVD agree
+    for member in corpus:
+        f_rho = restrict(member.formula, member.block, member.restriction)
+        for record in squeeze_all(f_rho, verify=False).records:
+            flat = record.vectors.reshape(16, -1)
+            basis, rank = orthonormalize(list(flat), tol=1e-9)
+            assert rank == record.rank
+            assert np.array_equal(np.array(basis), record.basis)
+            sing = np.linalg.svd(flat, compute_uv=False)
+            threshold = 1e-9 * np.linalg.norm(flat, 2)
+            assert record.borderline_rank == bool(
+                np.any((sing > threshold / 10) & (sing < threshold * 10))
+            )
+
+
+def test_borderline_rank_flags_a_singular_value_near_the_threshold():
+    # two_path_example's segments have smallest kept singular values 0.163
+    # and 0.397 against largest 1.42 and 1.57: within 10x of 5% of the largest
+    assert not any(r.borderline_rank for r in squeeze_all(two_path_example()).records)
+    records = squeeze_all(two_path_example(), rank_tol=0.05, verify=False).records
+    assert [(r.rank, r.borderline_rank) for r in records] == [(4, True), (4, True)]
 
 
 @pytest.mark.parametrize(
