@@ -15,9 +15,12 @@ shared string ``"[0.0, 0.0]"``, and only the other entries become Python
 floats, spelled as ``json`` spells them (repr, or ``NaN``/``Infinity``/
 ``-Infinity``).  Floats keep repr precision, so a write/read round trip
 reproduces every matrix bit-exactly.  Integer fields reject JSON
-booleans; a label has a ``var`` or a ``const``, not both.  Anything the
-reader cannot decode (not UTF-8, not JSON, nested too deep, a number too
-large for a float) is a ``FormatError``.
+booleans; a label has a ``var`` or a ``const``, not both.  A field the
+format does not name, at the top level or in a label or gate object, is
+rejected rather than ignored, so a misspelt ``arity_bound`` cannot
+silently become the default 2.  Anything the reader cannot decode (not
+UTF-8, not JSON, nested too deep, a number too large for a float) is a
+``FormatError``.
 
 Truth-table files are exactly two lines (trailing blank lines aside):
 the variable count n, then 2^n characters of 0/1 where the index is read
@@ -55,8 +58,20 @@ def _label_to_json(label: InputLabel) -> dict:
     return {"const": label.const}
 
 
+_CIRCUIT_FIELDS = frozenset(["num_qubits", "arity_bound", "labels", "gates", "output_qubit"])
+_LABEL_FIELDS = frozenset(["var", "const"])
+_GATE_FIELDS = frozenset(["step", "targets", "matrix"])
+
+
+def _known_fields(obj: dict, fields: frozenset, where: str) -> None:
+    if not obj.keys() <= fields:
+        unknown = next(key for key in obj if key not in fields)
+        raise FormatError(f"{where}unknown field '{unknown}'")
+
+
 def _label_from_json(obj, where: str) -> InputLabel:
     _require(isinstance(obj, dict), f"{where}: label must be an object")
+    _known_fields(obj, _LABEL_FIELDS, f"{where}: ")
     _require(not ("var" in obj and "const" in obj),
              f"{where}: label has both 'var' and 'const'")
     if "var" in obj:
@@ -141,6 +156,7 @@ def circuit_from_json(obj) -> Circuit:
     ``validate`` so a report can list all of them at once.
     """
     _require(isinstance(obj, dict), "top level must be an object")
+    _known_fields(obj, _CIRCUIT_FIELDS, "")
     for key in ("num_qubits", "labels", "gates", "output_qubit"):
         _require(key in obj, f"missing required field '{key}'")
     _require(_is_int(obj["num_qubits"]), "'num_qubits' must be an integer")
@@ -156,6 +172,7 @@ def circuit_from_json(obj) -> Circuit:
     for i, spec in enumerate(obj["gates"]):
         where = f"gates[{i}]"
         _require(isinstance(spec, dict), f"{where}: gate must be an object")
+        _known_fields(spec, _GATE_FIELDS, f"{where}: ")
         for key in ("step", "targets", "matrix"):
             _require(key in spec, f"{where}: missing field '{key}'")
         _require(_is_int(spec["step"]), f"{where}: step must be an integer")

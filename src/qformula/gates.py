@@ -5,6 +5,8 @@ target qubit as the most significant bit.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -52,9 +54,15 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def unitary_deviation(matrix: np.ndarray) -> float:
-    """Max-entry norm of U†U - I (0 for an exact unitary)."""
+    """Max-entry norm of U†U - I (0 for an exact unitary).
+
+    Entries near the float range overflow in the product; the deviation
+    is then inf, without a numpy warning.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return float("inf")
     eye = np.eye(matrix.shape[0])
-    return float(np.max(np.abs(matrix.conj().T @ matrix - eye)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = float(np.max(np.abs(matrix.conj().T @ matrix - eye)))
+    return float("inf") if math.isnan(deviation) else deviation

@@ -6,15 +6,21 @@ probability p that the output qubit is 1.  A circuit computes a Boolean
 function f when p > 2/3 on every 1-input and p < 1/3 on every 0-input;
 anything in the closed band [1/3, 2/3] is undetermined.
 
-Two simulators share one gate kernel, ``_apply``, which acts on the
+Three paths share one gate kernel, ``_apply``, which acts on the
 leading qubit axes of a tensor and leaves any trailing batch axes alone:
 
-* The state vector (``run``, ``probability_vector``, ``final_states``)
-  holds 2^m amplitudes per assignment and applies every gate in step
-  order, never reordering commuting gates, so it is the trusted oracle
-  for the rewrite passes.  ``probability_vector`` pushes the assignments
-  through in batches of at most ``CHUNK_AMPLITUDES`` amplitudes.  Only
-  this path is capped at ``max_qubits`` lines.
+* The step-order state vector (``run``, ``probability_vector``,
+  ``final_states``) holds 2^m amplitudes per assignment and applies
+  every gate in step order, never reordering commuting gates, so it is
+  the trusted oracle for the rewrite passes and for the two fast paths
+  below.  ``probability_vector`` pushes the assignments through in
+  batches of at most ``CHUNK_AMPLITUDES`` amplitudes.
+* The pruned, fused state vector runs the same batches over a shorter
+  schedule.  It keeps only the gates in the output line's backward light
+  cone (a dropped gate commutes past every kept one and never acts on
+  the output line, so p is exact), then fuses consecutive kept gates
+  into blocks on at most ``FUSED_LINES`` lines, one matrix each: fewer,
+  larger products instead of one kernel call per gate.
 * The tree contraction (``contract_formula``) needs a formula.  Each
   gate of the computation graph combines its children's reduced density
   matrices with the basis states of its bare input lines, applies
@@ -22,16 +28,27 @@ leading qubit axes of a tensor and leaves any trailing batch axes alone:
   gates outside the graph drop out.  Messages have at most 2^k x 2^k
   entries for a k-qubit gate, whatever the line count.
 
+Both state vectors are capped at ``max_qubits`` lines.  The kernel
+hands BLAS no product of more than ``BLAS_SLICE_MACS`` multiply-adds in
+one call: a larger one (a fused block, a wide gate, ``to_unitary`` on
+many lines) goes as a stack of column slices, because OpenBLAS splits
+larger products across threads, and those threads stall when the other
+cores are busy.
+
 ``evaluate`` dispatches on ``is_formula``: formulas take the
-contraction, everything else the state vector.  One threshold rule,
-``decide``, turns probabilities into verdicts for ``evaluate`` and for
-the counting module.  Both batched paths check every assignment's norm
-(or trace) against 1 within 1e-10.  Everything here is deterministic
-and side-effect free.
+contraction, everything else the pruned, fused state vector.  Either
+way an assignment whose p lands within 1e-12 of a threshold is
+re-decided by ``run``, so the verdict is the oracle's.  One threshold
+rule, ``decide``, turns probabilities into verdicts for ``evaluate``
+and for the counting module.  All batched paths check every
+assignment's norm (or trace) against 1 within 1e-10.  Everything here
+is deterministic and side-effect free.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .analysis import NotAFormulaError, _line_maps, computation_graph, is_formula
@@ -43,10 +60,17 @@ NORM_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 # complex numbers a batch of assignments may hold: one state-vector array,
 # or everything a tree contraction keeps at once.  At 2^13 (128 KiB) a
-# batch stays in cache, and a 2-qubit gate's product over it stays below
-# the size at which OpenBLAS hands it to extra threads, which stall when
-# the other cores are busy.
+# batch stays in cache.
 CHUNK_AMPLITUDES = 2 ** 13
+# multiply-adds of the largest product the kernel hands to BLAS in one
+# call.  OpenBLAS splits larger products across threads, which stall for
+# up to milliseconds per call when the other cores are busy; complex
+# products of 2^15 stayed on one thread and 2^16 did not (OpenBLAS 0.3.31).
+BLAS_SLICE_MACS = 2 ** 15
+# lines a fused block of the pruned state vector may act on: a k-line
+# block costs 2^k multiply-adds per amplitude, against 2^a for each of
+# the a-qubit gates it replaces
+FUSED_LINES = 5
 _EINSUM_AXES = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -61,14 +85,27 @@ def _apply(tensor: np.ndarray, gate, out: np.ndarray | None = None) -> np.ndarra
     of batch axes, which pass through untouched.  The result is written
     to ``out`` when given: a contiguous array of the tensor's size, which
     may be the very buffer ``tensor`` views, so a batched pass holds two
-    arrays at a time, not three.
+    arrays at a time, not three.  A product of more than
+    ``BLAS_SLICE_MACS`` multiply-adds goes to BLAS as a stack of column
+    slices, each within that size unless one column alone exceeds it.
     """
     # bring the target axes to the front, act with the matrix on them,
     # then put every axis back where it was
     order = [*gate.targets, *(a for a in range(tensor.ndim) if a not in gate.targets)]
     front = tensor.transpose(order)
     flat = front.reshape(2 ** gate.arity, -1)
-    product = np.matmul(gate.matrix, flat, out=None if out is None else out.reshape(flat.shape))
+    dim, cols = flat.shape
+    if dim * dim * cols <= BLAS_SLICE_MACS:
+        product = np.matmul(gate.matrix, flat, out=None if out is None else out.reshape(flat.shape))
+    else:
+        # one stack of column slices, as wide as fits: the largest power of
+        # two that divides cols and keeps a slice within BLAS_SLICE_MACS
+        width = math.gcd(cols, max(1, BLAS_SLICE_MACS // dim ** 2))
+        shape = (dim, cols // width, width)
+        if out is None:
+            out = np.empty(flat.shape, np.result_type(gate.matrix, flat))
+        product = np.matmul(gate.matrix, flat.reshape(shape).transpose(1, 0, 2),
+                            out=out.reshape(shape).transpose(1, 0, 2)).transpose(1, 0, 2)
     back = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
     return product.reshape(front.shape).transpose(back)
 
@@ -193,6 +230,18 @@ def run(
     return state, output_probability(state, circuit.output_qubit, m)
 
 
+def _evolve(circuit: Circuit, gates, lo: int, hi: int) -> np.ndarray:
+    """Apply ``gates`` in order to the input states of assignments lo..hi-1."""
+    m = circuit.num_qubits
+    index = (1 << np.arange(m - 1, -1, -1)) @ _line_values(circuit, lo, hi)
+    state = np.zeros((2 ** m, hi - lo), dtype=complex)
+    state[index, np.arange(hi - lo)] = 1.0
+    tensor = state.reshape([2] * m + [hi - lo])
+    for gate in gates:
+        tensor = _apply(tensor, gate, state)
+    return tensor
+
+
 def final_states(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
     """Final states of assignments lo..hi-1 (scan order) as one batch.
 
@@ -200,35 +249,89 @@ def final_states(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
     hi - lo.  Gates run in step order; the circuit is not re-checked and
     the caller sizes the batch.
     """
-    m = circuit.num_qubits
-    index = (1 << np.arange(m - 1, -1, -1)) @ _line_values(circuit, lo, hi)
-    state = np.zeros((2 ** m, hi - lo), dtype=complex)
-    state[index, np.arange(hi - lo)] = 1.0
-    tensor = state.reshape([2] * m + [hi - lo])
-    for gate in _steps(circuit):
-        tensor = _apply(tensor, gate, state)
-    return tensor
+    return _evolve(circuit, _steps(circuit), lo, hi)
 
 
-def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """p1 for every assignment, indexed with x1 as the most significant bit.
-
-    The state vector runs on batches of assignments holding at most
-    ``CHUNK_AMPLITUDES`` amplitudes (at least one assignment), and every
-    final state's norm is checked.
-    """
-    _require_cap(circuit, max_qubits)
-    circuit.check()
+def _probabilities(circuit: Circuit, gates) -> np.ndarray:
+    """p1 of every assignment after ``gates``, in batches of at most
+    ``CHUNK_AMPLITUDES`` amplitudes (at least one assignment), with every
+    final state's norm checked."""
     m, n = circuit.num_qubits, circuit.num_variables
     others = tuple(q for q in range(m) if q != circuit.output_qubit)
     batch = max(1, CHUNK_AMPLITUDES >> m)
     out = np.empty(2 ** n)
     for lo in range(0, 2 ** n, batch):
         hi = min(lo + batch, 2 ** n)
-        marginal = (np.abs(final_states(circuit, lo, hi)) ** 2).sum(axis=others)
+        marginal = (np.abs(_evolve(circuit, gates, lo, hi)) ** 2).sum(axis=others)
         _check_drift(np.sqrt(marginal.sum(axis=0)), lo, n, "state norm")
         out[lo:hi] = marginal[1]
     return out
+
+
+def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+    """p1 for every assignment, indexed with x1 as the most significant bit.
+
+    The state vector applies every gate in step order, on batches of
+    assignments, and checks every final state's norm.
+    """
+    _require_cap(circuit, max_qubits)
+    circuit.check()
+    return _probabilities(circuit, _steps(circuit))
+
+
+# ---------------------------------------------------------------------------
+# pruned, fused state vector
+
+
+def _light_cone(circuit: Circuit) -> list[Gate]:
+    """The gates in the output line's backward light cone, in step order.
+
+    Walking back from the output line, a gate is kept when it meets the
+    cone, which then takes in its lines.  A dropped gate meets no line of
+    the cone after it, so it commutes past every kept gate and never acts
+    on the output line: p is unchanged.
+    """
+    cone = {circuit.output_qubit}
+    kept = []
+    for gate in reversed(_steps(circuit)):
+        if not cone.isdisjoint(gate.targets):
+            cone.update(gate.targets)
+            kept.append(gate)
+    return kept[::-1]
+
+
+def _fused_schedule(circuit: Circuit) -> list[Gate]:
+    """The light cone as blocks of at most ``FUSED_LINES`` lines.
+
+    Each gate, in step order, joins the open blocks it meets into one,
+    unless that would exceed the line cap; then those blocks are closed
+    and the gate opens a new one.  Open blocks share no line, so they
+    commute; a gate wider than the cap is a block of its own.
+    """
+    closed: list[list[Gate]] = []
+    open_blocks: list[tuple[set[int], list[Gate]]] = []
+    for gate in _light_cone(circuit):
+        met = [b for b in open_blocks if not b[0].isdisjoint(gate.targets)]
+        open_blocks = [b for b in open_blocks if b[0].isdisjoint(gate.targets)]
+        lines = set(gate.targets).union(*(b[0] for b in met))
+        if len(lines) <= FUSED_LINES:
+            open_blocks.append((lines, [g for b in met for g in b[1]] + [gate]))
+        else:
+            closed += [b[1] for b in met]
+            open_blocks.append((set(gate.targets), [gate]))
+    closed += [b[1] for b in open_blocks]
+    return [_fuse(block) for block in closed]
+
+
+def _fuse(gates: list[Gate]) -> Gate:
+    """One gate on the union of the gates' lines, applying them in order."""
+    if len(gates) == 1:
+        return gates[0]
+    lines = sorted({q for g in gates for q in g.targets})
+    local = {q: i for i, q in enumerate(lines)}
+    matrix = _operator([Gate(g.step, tuple(local[q] for q in g.targets), g.matrix)
+                        for g in gates], len(lines))
+    return Gate(gates[-1].step, tuple(lines), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +499,11 @@ def evaluate(
 
     The table is indexed with x1 as the most significant bit; the first
     failing assignment in that order is reported.  Formulas go through
-    ``contract_formula``, which has no line cap; an assignment whose p
-    lands within 1e-12 of a threshold is re-decided by ``run`` (when the
-    circuit fits under ``max_qubits``), so the verdict is the state
-    vector's.  Other circuits go through ``probability_vector``.
+    ``contract_formula``, which has no line cap; other circuits through
+    the pruned, fused state vector, capped at ``max_qubits`` lines.  An
+    assignment whose p lands within 1e-12 of a threshold is re-decided
+    by ``run`` (when the circuit fits under ``max_qubits``), so the
+    verdict is the step-order state vector's.
     """
     circuit.check()
     n = circuit.num_variables
@@ -408,9 +512,11 @@ def evaluate(
         raise SimulationError(f"truth table has {bits.size} entries, expected {2 ** n}")
     if not np.all((bits == 0) | (bits == 1)):
         raise SimulationError("truth table entries must be 0/1")
-    if not is_formula(circuit):
-        return verdict(probability_vector(circuit, max_qubits=max_qubits), bits)
-    p = contract_formula(circuit)
+    if is_formula(circuit):
+        p = contract_formula(circuit)
+    else:
+        _require_cap(circuit, max_qubits)
+        p = _probabilities(circuit, _fused_schedule(circuit))
     if circuit.num_qubits <= max_qubits:
         near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
         for idx in np.flatnonzero(near):
@@ -418,17 +524,22 @@ def evaluate(
     return verdict(p, bits)
 
 
-def to_unitary(circuit: Circuit, *, max_qubits: int = 12) -> np.ndarray:
-    """Full 2^m x 2^m operator of the circuit: the kernel on the identity."""
-    m = circuit.num_qubits
-    if m > max_qubits:
-        raise SimulationError(f"to_unitary capped at {max_qubits} qubits, got {m}")
+def _operator(gates, m: int) -> np.ndarray:
+    """The 2^m x 2^m operator of ``gates`` in order: the kernel on the identity."""
     dim = 2 ** m
     eye = np.eye(dim, dtype=complex)
     u = eye.reshape([2] * m + [dim])
-    for gate in _steps(circuit):
+    for gate in gates:
         u = _apply(u, gate, eye)
     return u.reshape(dim, dim)
+
+
+def to_unitary(circuit: Circuit, *, max_qubits: int = 12) -> np.ndarray:
+    """Full 2^m x 2^m operator of the circuit, gates in step order."""
+    m = circuit.num_qubits
+    if m > max_qubits:
+        raise SimulationError(f"to_unitary capped at {max_qubits} qubits, got {m}")
+    return _operator(_steps(circuit), m)
 
 
 def embed_gate(gate: Gate, num_qubits: int) -> np.ndarray:

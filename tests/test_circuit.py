@@ -28,6 +28,18 @@ def test_non_unitary_matrix_is_reported():
     assert any("non-unitary" in v and "step 1" in v for v in report.violations)
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1e308, 0], [0, 1]], [[1e308, 1e308], [1e308, -1e308]], [[1e308, 1e308j], [1e308j, 1e308]]],
+    ids=["one-huge-entry", "real-signs", "imaginary"],
+)
+def test_overflowing_matrix_is_non_unitary_without_a_warning(matrix):
+    c = build_circuit(1, [variable(1)], [((0,), np.array(matrix))], output_qubit=0)
+    assert validate(c).violations == ("non-unitary at step 1 (deviation inf)",)
+
+
 def test_arity_above_bound_is_reported():
     toffoli = np.eye(8, dtype=complex)
     c = build_circuit(

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qformula
 
 from qformula import read_circuit, write_circuit, write_truth_table
 from qformula.cli import main
@@ -199,6 +205,33 @@ def test_invalid_circuit_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "-c", str(path))
     assert code == 1
     assert "non-unitary" in err
+
+
+def test_overflowing_matrix_exits_1_without_a_numpy_warning(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0,'
+        ' "gates": [{"step": 1, "targets": [0],'
+        ' "matrix": [[1e308, 0], [1e308, 0], [1e308, 0], [-1e308, 0]]}]}'
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qformula.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qformula.cli", "analyze", "-c", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert "non-unitary" in done.stderr and "deviation inf" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
+def test_misspelt_field_exits_1(tmp_path, capsys):
+    path = tmp_path / "misspelt.json"
+    path.write_text(
+        '{"num_qubits": 1, "arity_bund": 6, "labels": [{"var": 1}], "gates": [], "output_qubit": 0}'
+    )
+    code, out, err = run_cli(capsys, "analyze", "-c", str(path))
+    assert (code, out) == (1, "")
+    assert "unknown field 'arity_bund'" in err
 
 
 def test_squeeze_tolerance_breach_exits_2(tmp_path, capsys):

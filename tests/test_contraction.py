@@ -1,8 +1,9 @@
 """The batched evaluation paths against the per-assignment state vector.
 
-``contract_formula`` (tree contraction) and the batched
-``probability_vector`` must reproduce ``run`` assignment by assignment,
-and ``evaluate`` must give the verdict of a per-assignment ``run`` scan.
+``contract_formula`` (tree contraction), the pruned, fused state vector
+and the batched ``probability_vector`` must reproduce ``run`` assignment
+by assignment, and ``evaluate`` must give the verdict of a
+per-assignment ``run`` scan.
 """
 import itertools
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from qformula import (
+    Gate,
     build_circuit,
     constant,
     contract_formula,
@@ -24,7 +26,15 @@ from qformula import (
 from qformula import simulator
 from qformula.gates import CNOT, H, SWAP, random_unitary
 from qformula.samples import formula_example, nonformula_example, toffoli_and_circuit
-from qformula.simulator import SimulationError, decide, verdict
+from qformula.simulator import (
+    SimulationError,
+    _apply,
+    _fused_schedule,
+    _light_cone,
+    _probabilities,
+    decide,
+    verdict,
+)
 
 TOL = 1e-12
 
@@ -182,6 +192,102 @@ def test_batched_state_vector_spans_several_chunks():
 
 
 # ---------------------------------------------------------------------------
+# the pruned, fused state vector and the sliced kernel
+
+
+def fused_probabilities(circuit):
+    return _probabilities(circuit, _fused_schedule(circuit))
+
+
+def assert_schedule_invariants(circuit):
+    """Blocks within the line cap; the cone keeps exactly the gates that meet it."""
+    kept = _light_cone(circuit)
+    assert [g.step for g in kept] == sorted(g.step for g in kept)
+    for gate in circuit.gates:  # kept exactly when it meets the later kept gates' cone
+        cone = {circuit.output_qubit}.union(*(k.targets for k in kept if k.step > gate.step))
+        assert any(gate is k for k in kept) != cone.isdisjoint(gate.targets)
+    blocks = _fused_schedule(circuit)  # a block past the cap is one kept gate
+    assert all(b.arity <= simulator.FUSED_LINES or any(b is g for g in kept) for b in blocks)
+    assert len(blocks) <= len(kept)
+    return kept, blocks
+
+
+def test_fused_path_matches_the_oracle_on_the_nonformula_example():
+    c = nonformula_example()
+    kept, blocks = assert_schedule_invariants(c)
+    assert len(kept) == 4 and len(blocks) == 1 and blocks[0].targets == (0, 1, 2, 3)
+    assert np.max(np.abs(fused_probabilities(c) - probability_vector(c))) <= TOL
+
+
+def test_fused_path_matches_the_oracle_on_wide_general_circuits():
+    rng = np.random.default_rng(31)
+    for m, n, gates in ((12, 10, 60), (12, 5, 40), (9, 6, 30), (7, 4, 25)):
+        c = random_general(rng, m, n, gates)
+        kept, blocks = assert_schedule_invariants(c)
+        assert len(blocks) < len(kept)
+        assert np.max(np.abs(fused_probabilities(c) - probability_vector(c))) <= TOL
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 6])
+def test_fused_path_matches_the_oracle_at_every_block_cap(monkeypatch, cap):
+    monkeypatch.setattr(simulator, "FUSED_LINES", cap)
+    c = random_general(np.random.default_rng(32), 8, 5, 30)
+    assert_schedule_invariants(c)
+    assert np.max(np.abs(fused_probabilities(c) - probability_vector(c))) <= TOL
+
+
+def test_fused_path_with_untouched_output_line():
+    c = build_circuit(
+        4, [variable(1), variable(2), constant(1), variable(1)],
+        [((0, 1), CNOT), ((1, 2), CNOT), ((0, 2), CNOT), ((1, 0), SWAP)],
+        output_qubit=3,
+    )
+    assert _light_cone(c) == [] and _fused_schedule(c) == []
+    assert list(fused_probabilities(c)) == [0.0, 0.0, 1.0, 1.0]
+    assert list(probability_vector(c)) == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_gates_after_the_last_one_on_the_cone_are_dropped():
+    rng = np.random.default_rng(33)
+    u = lambda k: random_unitary(2 ** k, rng)
+    core = nonformula_example()
+    c = build_circuit(
+        6, [*core.labels, variable(2), constant(0)],
+        [*((g.targets, g.matrix) for g in core.gates),
+         ((0, 4), u(2)), ((4, 5), u(2)), ((1, 2, 5), u(3)), ((2,), u(1))],
+        output_qubit=3, arity_bound=3,
+    )
+    assert not is_formula(c)
+    kept, _ = assert_schedule_invariants(c)
+    assert [g.step for g in kept] == [1, 2, 3, 4]  # the last four gates drop out
+    assert np.max(np.abs(fused_probabilities(c) - run_probabilities(c))) <= TOL
+    assert np.max(np.abs(fused_probabilities(c) - probability_vector(c))) <= TOL
+
+
+@pytest.mark.parametrize("cap", [1, 16, 64])
+def test_sliced_kernel_matches_the_unsliced_kernel(monkeypatch, cap):
+    rng = np.random.default_rng(34)
+    tensor = rng.normal(size=[2] * 6 + [3, 4]) + 1j * rng.normal(size=[2] * 6 + [3, 4])
+    gates = [Gate(1, targets, random_unitary(2 ** len(targets), rng))
+             for targets in ((0,), (5,), (2, 4), (4, 2), (0, 1), (3, 1, 5), (0, 1, 2))]
+    whole = [_apply(tensor, g) for g in gates]
+    monkeypatch.setattr(simulator, "BLAS_SLICE_MACS", cap)
+    for gate, expected in zip(gates, whole):
+        assert np.max(np.abs(_apply(tensor, gate) - expected)) <= 1e-15
+        buffer = tensor.copy()  # written in place, as the batched paths do
+        assert np.max(np.abs(_apply(buffer, gate, buffer) - expected)) <= 1e-15
+
+
+def test_sliced_kernel_keeps_every_simulator_on_the_oracle(monkeypatch):
+    c = random_general(np.random.default_rng(35), 6, 4, 20)
+    formula, _ = permutation_formula(np.random.default_rng(36), 8, 4)
+    expected = [probability_vector(c), fused_probabilities(c), contract_formula(formula)]
+    monkeypatch.setattr(simulator, "BLAS_SLICE_MACS", 4)
+    got = [probability_vector(c), fused_probabilities(c), contract_formula(formula)]
+    assert all(np.max(np.abs(a - b)) <= 1e-15 for a, b in zip(got, expected))
+
+
+# ---------------------------------------------------------------------------
 # evaluate: dispatch, verdicts and the line cap
 
 
@@ -280,6 +386,44 @@ def test_p_within_1e_12_of_a_threshold_is_redecided_by_run(run_calls, offset, st
     assert got.status == status == scan_verdict(c, [0, 1])[0]
 
 
+def rotation_nonformula(p0):
+    """``rotation_formula`` on line 0, then gates that leave line 0's
+    marginal alone but reconverge: p is still p0 or 1 - p0."""
+    s, c = np.sqrt(p0), np.sqrt(1 - p0)
+    return build_circuit(
+        3, [variable(1), constant(0), constant(0)],
+        [((0,), np.array([[c, -s], [s, c]])), ((0, 1), CNOT), ((1, 2), CNOT),
+         ((0, 2), np.diag([1, 1, 1, -1]))],
+        output_qubit=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "offset, status",
+    [(-5e-13, "computes"), (5e-13, "undetermined")],
+    ids=["just-outside-the-band", "just-inside-the-band"],
+)
+def test_non_formula_p_within_1e_12_of_a_threshold_is_redecided_by_run(
+    run_calls, offset, status
+):
+    c = rotation_nonformula(1 / 3 + offset)
+    assert not is_formula(c)
+    assert np.max(np.abs(fused_probabilities(c) - [1 / 3 + offset, 2 / 3 - offset])) <= TOL
+    got = evaluate(c, [0, 1])
+    assert run_calls == [(0,), (1,)]
+    assert got.status == status == scan_verdict(c, [0, 1])[0]
+
+
+@pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
+def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true_offset):
+    c = rotation_nonformula(1 / 3 + true_offset)
+    real = fused_probabilities(c)
+    # a fused path that lands on the other side of 1/3 than run does
+    monkeypatch.setattr(simulator, "_probabilities", lambda circuit, gates: real - 2 * true_offset)
+    got = evaluate(c, [0, 1])
+    assert (got.status, got.alpha) == scan_verdict(c, [0, 1])[:2]
+
+
 def test_p_outside_the_guard_window_is_not_redecided(run_calls):
     c = rotation_formula(1 / 3 - 1e-11)
     assert evaluate(c, [0, 1]).computes
@@ -327,4 +471,15 @@ def test_batched_state_vector_raises_on_norm_drift():
     with pytest.raises(SimulationError, match="state norm drifted .* at assignment 11"):
         probability_vector(c)
     with pytest.raises(SimulationError, match="state norm drifted"):
+        evaluate(c, [0, 0, 0, 0])
+
+
+def test_fused_state_vector_raises_on_norm_drift():
+    c = nonformula_example()
+    c.check()
+    _force_matrix(c, 1, c.gates[1].matrix @ np.diag([1, 1, 1, 0.5]))  # input x1 = x2 = 1
+    assert len(_fused_schedule(c)) == 1  # the drift is inside a fused block
+    with pytest.raises(SimulationError, match="state norm drifted .* at assignment 11"):
+        fused_probabilities(c)
+    with pytest.raises(SimulationError, match="state norm drifted .* at assignment 11"):
         evaluate(c, [0, 0, 0, 0])

@@ -254,6 +254,27 @@ def test_undecodable_files_are_format_errors(tmp_path, content, message):
         read_circuit(path)
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"num_qubits": 1, "arity_bund": 6, "labels": [{"var": 1}], "gates": [],'
+         ' "output_qubit": 0}', "unknown field 'arity_bund'"),
+        ('{"num_qubits": 1, "labels": [{"var": 1, "neg": true}], "gates": [],'
+         ' "output_qubit": 0}', r"labels\[0\]: unknown field 'neg'"),
+        ('{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": ['
+         + _X_GATE.replace('"step": 1', '"step": 1, "name": "X"') + "]}",
+         r"gates\[0\]: unknown field 'name'"),
+    ],
+    ids=["top-level", "label", "gate"],
+)
+def test_unknown_fields_are_format_errors(tmp_path, text, message):
+    path = tmp_path / "extra.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        read_circuit(path)
+
+
 def test_truth_table_round_trip(tmp_path):
     path = tmp_path / "t.tt"
     write_truth_table(2, [0, 1, 1, 0], path)

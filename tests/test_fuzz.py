@@ -2,13 +2,16 @@
 
 Random formulas go through ``run``, the batched ``probability_vector``,
 ``to_unitary`` and ``contract_formula``; random general circuits through
-the first three.  All must agree within 1e-12, and ``evaluate`` must
-give the verdict of a per-assignment ``run`` scan.
+the first three and the pruned, fused state vector.  All must agree
+within 1e-12, and ``evaluate`` must give the verdict of a per-assignment
+``run`` scan.
 
 Circuit files written by ``write_circuit`` are mutated (keys dropped,
 duplicated or added, values swapped for booleans, huge integers, nested
 lists and other types, text truncated); reading and checking them may
-only succeed or raise ``FormatError`` or ``InvalidCircuitError``.
+only succeed or raise ``FormatError`` or ``InvalidCircuitError``, a file
+with a field the format does not name must raise ``FormatError``, and
+no numpy ``RuntimeWarning`` may escape.
 """
 import copy
 import functools
@@ -39,7 +42,15 @@ from qformula import (
 from qformula import simulator
 from qformula.gates import random_unitary
 from qformula.samples import formula_example, nonformula_example, two_path_example
-from qformula.simulator import initial_state, probability_vector, to_unitary
+from qformula.simulator import (
+    FUSED_LINES,
+    _fused_schedule,
+    _light_cone,
+    _probabilities,
+    initial_state,
+    probability_vector,
+    to_unitary,
+)
 
 TOL = 1e-12
 MAX_LINES = 8
@@ -131,10 +142,10 @@ def general_circuits(draw):
     labels = draw(st.permutations(labels))
     specs = []
     for _ in range(draw(st.integers(0, 10))):
-        k = draw(st.integers(1, min(2, m)))
+        k = draw(st.integers(1, min(3, m)))
         targets = draw(st.permutations(range(m)))[:k]
         specs.append((tuple(targets), random_unitary(2 ** k, rng)))
-    return build_circuit(m, labels, specs, draw(st.integers(0, m - 1)))
+    return build_circuit(m, labels, specs, draw(st.integers(0, m - 1)), arity_bound=3)
 
 
 def _oracles(circuit):
@@ -182,6 +193,15 @@ def test_fuzz_general_circuits_agree_across_simulators(circuit, data):
     assert np.max(np.abs(probability_vector(circuit) - by_run)) <= TOL
     with mock.patch.object(simulator, "CHUNK_AMPLITUDES", 4):  # several batches
         assert np.max(np.abs(probability_vector(circuit) - by_run)) <= TOL
+    kept = _light_cone(circuit)
+    for gate in circuit.gates:  # kept exactly when it meets the later kept gates' cone
+        cone = {circuit.output_qubit}.union(*(k.targets for k in kept if k.step > gate.step))
+        assert any(gate is k for k in kept) != cone.isdisjoint(gate.targets)
+    for cap in (2, FUSED_LINES):
+        with mock.patch.object(simulator, "FUSED_LINES", cap):
+            blocks = _fused_schedule(circuit)
+            assert all(b.arity <= max(cap, 3) for b in blocks)
+            assert np.max(np.abs(_probabilities(circuit, blocks) - by_run)) <= TOL
     table = data.draw(st.lists(st.integers(0, 1), min_size=by_run.size, max_size=by_run.size))
     got = evaluate(circuit, table)
     assert (got.status, got.alpha) == _scan(circuit, table)
@@ -236,9 +256,31 @@ def _mutate(root, data):
         parent[data.draw(st.sampled_from(KEYS + ["extra"]))] = junk
 
 
-# entries near 1e308 overflow in validate's U^dagger U (deviation inf: rejected)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+FIELDS = {
+    None: {"num_qubits", "arity_bound", "labels", "gates", "output_qubit"},
+    "labels": {"var", "const"},
+    "gates": {"step", "targets", "matrix"},
+}
+
+
+def _unknown_field(text):
+    """Whether the file's root, or a label or gate object in it, has a
+    field the format does not name."""
+    try:
+        root = json.loads(text)
+    except ValueError:
+        return False
+    if not isinstance(root, dict):
+        return False
+    objects = [(None, root)] + [
+        (key, item) for key in ("labels", "gates") if isinstance(root.get(key), list)
+        for item in root[key] if isinstance(item, dict)
+    ]
+    return any(set(obj) - FIELDS[key] for key, obj in objects)
+
+
+# entries near 1e308 overflow in validate's U^dagger U: rejected, without a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(FUZZ, max_examples=200)
 @given(data=st.data())
 def test_fuzz_mutated_circuit_files_raise_only_typed_errors(tmp_path_factory, data):
@@ -258,6 +300,10 @@ def test_fuzz_mutated_circuit_files_raise_only_typed_errors(tmp_path_factory, da
     if data.draw(st.integers(0, 4)) == 0:
         text = text[: data.draw(st.integers(0, len(text)))]
     path.write_text(text)
+    if _unknown_field(text):
+        with pytest.raises(FormatError):
+            read_circuit(path)
+        return
     try:
         read_circuit(path).check()
     except (FormatError, InvalidCircuitError):
