@@ -203,7 +203,7 @@ def validate(circuit: Circuit) -> ValidationReport:
         dim = 2 ** g.arity
         if g.matrix.shape != (dim, dim):
             v.append(f"matrix shape {g.matrix.shape} does not match {g.arity} targets at {where}")
-        elif not np.all(np.isfinite(g.matrix)):
+        elif not np.isfinite(g.matrix).all():
             v.append(f"non-finite matrix entry at {where}")
         else:
             dev = unitary_deviation(g.matrix)

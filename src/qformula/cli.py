@@ -61,6 +61,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -225,8 +235,9 @@ def _cmd_ed(args) -> int:
     bits_per_string, n = ed_parameters(args.ell)
     payload: dict = {"ell": args.ell, "n": n, "bits_per_string": bits_per_string}
     lines = [f"ell={args.ell}: n={n}, {bits_per_string} bits per string"]
+    table = ed_function(args.ell) if args.check or args.emit else None
     if args.check:
-        report = ed_sigma_check(args.ell)
+        report = ed_sigma_check(args.ell, table)
         # ed_sigma_check raises SigmaCheckError (exit 2) unless the bound holds
         payload.update({"sigmas": list(report.sigmas), "binomial": report.binomial})
         lines.append(
@@ -238,7 +249,7 @@ def _cmd_ed(args) -> int:
         directory.mkdir(parents=True, exist_ok=True)
         table_path = directory / f"ed{n}.tt"
         part_path = directory / f"ed{n}.part"
-        fileio.write_truth_table(n, ed_function(args.ell).bits, table_path)
+        fileio.write_truth_table(n, table.bits, table_path)
         fileio.write_partition(ed_partition(args.ell).blocks, part_path)
         payload.update({"table": str(table_path), "partition": str(part_path)})
         lines.append(f"wrote {table_path} and {part_path}")
@@ -419,7 +430,7 @@ def _build_parser() -> _Parser:
 
     p = add("verify-lemmas", _cmd_verify_lemmas, help="run the property sweeps")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--cases", type=_positive_int, default=1000)
     return parser
 
 

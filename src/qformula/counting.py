@@ -278,13 +278,20 @@ def enumerate_functions(
 
     label_options: list[InputLabel] = [variable(j) for j in range(1, n + 1)]
     label_options += [constant(0), constant(1)]
-    placements: list[tuple[str, np.ndarray, tuple[int, ...]]] = []
-    for name, matrix in net.entries:
+    placements: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    for _, matrix in net.entries:
         arity = int(math.log2(matrix.shape[0]))
         if arity > min(arity_bound, num_qubits):
             continue
         for targets in itertools.permutations(range(num_qubits), arity):
-            placements.append((name, matrix, targets))
+            placements.append((matrix, targets))
+    # every placement as the gate of each slot, built once
+    slots = [
+        [Gate(step=i + 1, targets=t, matrix=m) for m, t in placements]
+        for i in range(num_gates)
+    ]
+    # the axes summed out to leave each output line's marginal
+    others = [tuple(a for a in range(num_qubits) if a != q) for q in range(num_qubits)]
 
     found: set[str] = set()
     scanned = 0
@@ -292,11 +299,7 @@ def enumerate_functions(
     for labels in itertools.product(label_options, repeat=num_qubits):
         if {lb.var for lb in labels if lb.var is not None} != set(range(1, n + 1)):
             continue
-        for chosen in itertools.product(placements, repeat=num_gates):
-            gates = tuple(
-                Gate(step=i + 1, targets=t, matrix=m)
-                for i, (_, m, t) in enumerate(chosen)
-            )
+        for gates in itertools.product(*slots):
             base = Circuit(
                 num_qubits=num_qubits,
                 labels=labels,
@@ -304,16 +307,14 @@ def enumerate_functions(
                 output_qubit=0,
                 arity_bound=max(arity_bound, 1),
             )
-            # one batch of final states serves every output-line choice
+            # one batch of final states serves every output-line choice,
+            # and one threshold call decides all of them
             weights = np.abs(final_states(base, 0, 2 ** n)) ** 2
-            for q in range(num_qubits):
-                scanned += 1
-                others = tuple(a for a in range(num_qubits) if a != q)
-                decided = decide(weights.sum(axis=others)[1])
-                if np.any(decided < 0):
-                    undetermined += 1
-                    continue
-                found.add("".join(map(str, decided)))
+            decided = decide([weights.sum(axis=axes)[1] for axes in others])
+            determined = (decided >= 0).all(axis=1)
+            scanned += num_qubits
+            undetermined += num_qubits - int(determined.sum())
+            found.update("".join(map(str, row)) for row in decided[determined])
     return EnumerationResult(
         n=n,
         tables=tuple(sorted(found)),

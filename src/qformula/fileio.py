@@ -248,7 +248,7 @@ def write_truth_table(n: int, bits, path) -> None:
     arr = np.asarray(bits).astype(np.uint8).reshape(-1)
     if arr.size != 2 ** n:
         raise ValueError(f"expected {2 ** n} bits, got {arr.size}")
-    text = "".join("1" if b else "0" for b in arr)
+    text = np.where(arr != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
     Path(path).write_text(f"{n}\n{text}\n", encoding="utf-8")
 
 

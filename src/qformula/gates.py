@@ -6,6 +6,7 @@ target qubit as the most significant bit.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -41,16 +42,29 @@ NAMED_GATES: dict[str, np.ndarray] = {
 }
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian matrix.
+def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The complex Gaussian matrix ``random_unitary`` draws and completes."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
-    The phase of the R diagonal is normalized so the result is a
-    deterministic function of the generator state.
-    """
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+
+def complete_unitaries(gaussians: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The Q of each square Gaussian matrix's QR, R's diagonal phases
+    normalized, so a unitary is a deterministic function of its matrix.
+    Matrices of one dimension share one stacked QR, which runs the same
+    LAPACK factorization per matrix: bit for bit a QR of each alone."""
+    unitaries = list(gaussians)
+    for dim in {len(z) for z in gaussians}:
+        indices = [i for i, z in enumerate(gaussians) if len(z) == dim]
+        q, r = np.linalg.qr(np.array([gaussians[i] for i in indices]))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        for i, u in zip(indices, q * (d / np.abs(d))[..., None, :]):
+            unitaries[i] = u
+    return unitaries
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
+    return complete_unitaries([gaussian_matrix(dim, rng)])[0]
 
 
 def unitary_deviation(matrix: np.ndarray) -> float:
@@ -64,5 +78,5 @@ def unitary_deviation(matrix: np.ndarray) -> float:
         return float("inf")
     eye = np.eye(matrix.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = float(np.max(np.abs(matrix.conj().T @ matrix - eye)))
+        deviation = float(np.abs(matrix.conj().T @ matrix - eye).max())
     return float("inf") if math.isnan(deviation) else deviation

@@ -118,7 +118,10 @@ def subfunctions(f: TruthTable, partition: Partition, j: int) -> SubfunctionTabl
 
     Block variables keep their relative order; each stored table is
     indexed with the block's smallest variable as its most significant
-    bit.  Capped at n <= 24.
+    bit.  The dedupe packs each table's bits into bytes, most significant
+    first, and sorts the packed rows as opaque byte strings: byte order
+    is the tables' lexicographic order, and a row is 1/8 of the size.
+    Capped at n <= 24.
     """
     if f.n > ENUMERATION_CAP:
         raise ValueError(f"n={f.n} exceeds the enumeration cap {ENUMERATION_CAP}")
@@ -135,11 +138,15 @@ def subfunctions(f: TruthTable, partition: Partition, j: int) -> SubfunctionTabl
         [v - 1 for v in block + outside],
         list(range(f.n)),
     ).reshape(2 ** len(block), -1)
-    unique = np.unique(np.ascontiguousarray(arranged.T), axis=0)
+    rows = arranged.T  # one table per outside assignment
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    _, first = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True
+    )
     return SubfunctionTable(
         block_index=j,
         block=partition.blocks[j],
-        tables=tuple(row.tobytes() for row in unique),
+        tables=tuple(row.tobytes() for row in rows[first]),
     )
 
 
@@ -226,13 +233,14 @@ class EDSigmaReport:
         return all(s >= self.binomial for s in self.sigmas)
 
 
-def ed_sigma_check(ell: int) -> EDSigmaReport:
+def ed_sigma_check(ell: int, table: TruthTable | None = None) -> EDSigmaReport:
     """Brute-force sigma_j per block and compare with C(ell^2, ell-1).
 
     Also witnesses the symmetry of element distinctness in its blocks:
-    every block must yield the same count.
+    every block must yield the same count.  ``table`` is
+    ``ed_function(ell)`` when the caller has already built it.
     """
-    f = ed_function(ell)
+    f = ed_function(ell) if table is None else table
     partition = ed_partition(ell)
     sigmas = tuple(
         subfunctions(f, partition, j).sigma for j in range(len(partition.blocks))

@@ -46,6 +46,7 @@ is deterministic and side-effect free.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,9 +90,7 @@ def _apply(tensor: np.ndarray, gate, out: np.ndarray | None = None) -> np.ndarra
     ``BLAS_SLICE_MACS`` multiply-adds goes to BLAS as a stack of column
     slices, each within that size unless one column alone exceeds it.
     """
-    # bring the target axes to the front, act with the matrix on them,
-    # then put every axis back where it was
-    order = [*gate.targets, *(a for a in range(tensor.ndim) if a not in gate.targets)]
+    order, back = _axis_orders(gate.targets, tensor.ndim)
     front = tensor.transpose(order)
     flat = front.reshape(2 ** gate.arity, -1)
     dim, cols = flat.shape
@@ -106,8 +105,16 @@ def _apply(tensor: np.ndarray, gate, out: np.ndarray | None = None) -> np.ndarra
             out = np.empty(flat.shape, np.result_type(gate.matrix, flat))
         product = np.matmul(gate.matrix, flat.reshape(shape).transpose(1, 0, 2),
                             out=out.reshape(shape).transpose(1, 0, 2)).transpose(1, 0, 2)
-    back = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
     return product.reshape(front.shape).transpose(back)
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_orders(targets: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The kernel's axis permutation, which brings the target axes to the
+    front, and its inverse, which puts every axis back where it was;
+    cached, since the kernel meets the same few on every call."""
+    order = (*targets, *(a for a in range(ndim) if a not in targets))
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
 
 def _steps(circuit: Circuit) -> list[Gate]:

@@ -28,7 +28,10 @@ def _as_vector(x, name: str = "vector") -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Tensor product a (x) b; the first factor is most significant."""
-    return np.kron(_as_vector(a, "first factor"), _as_vector(b, "second factor"))
+    a, b = _as_vector(a, "first factor"), _as_vector(b, "second factor")
+    # np.kron's own broadcast, without its overhead; np.multiply.outer
+    # rounds a product of two 1-entry factors differently
+    return np.multiply(a[:, None], b[None, :]).reshape(-1)
 
 
 def inner_product(x1, x2) -> complex:

@@ -12,8 +12,17 @@ Four suites, each running a configurable number of seeded cases:
 * postponement: relocating the trailing partner-line gates behind a
   chain preserves the full operator (1e-10).
 
+Each suite draws, then completes, then evaluates, a chunk of at most
+``CHUNK_CASES`` cases at a time, so memory stays flat in the case count.
+Drawing makes every case's generator calls in case order and keeps the
+Gaussian matrix of each random unitary; completion turns the chunk's
+matrices into unitaries with one stacked QR per dimension
+(``gates.complete_unitaries``, as ``random_unitary`` does); then each
+case is checked.  The generator sees the calls of a one-case-at-a-time
+loop in the same order, so a seed still draws the same cases.
+
 The CLI exposes them as ``verify-lemmas``; the acceptance suite runs
-them at 1000 cases each.
+them at 1000 cases each.  A sweep needs at least one case.
 """
 from __future__ import annotations
 
@@ -22,13 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Gate, build_circuit, constant
-from .gates import random_unitary
+from .gates import complete_unitaries, gaussian_matrix
 from .rewrite import decompose_disjoint, postpone
-from .simulator import apply_gate, to_unitary
+from .simulator import _apply, to_unitary
 from .tensor import inner_product, kron, orthonormalize
 
 FACTORIZATION_TOL = 1e-12
 OPERATOR_TOL = 1e-10
+# a chunk keeps at most 1,536 Gaussian 4x4 matrices (384 KiB) and 256 two-column
+# states of 64 amplitudes (512 KiB), whatever the case count
+CHUNK_CASES = 256
 
 
 @dataclass(frozen=True)
@@ -48,78 +60,110 @@ def _random_vector(rng: np.random.Generator, dim: int, unit: bool = False) -> np
     return v / np.linalg.norm(v) if unit else v
 
 
-def sweep_tensor_factorization(cases: int, seed: int) -> SweepResult:
+def _sweep(name: str, tolerance: float, cases: int, seed: int, draw) -> SweepResult:
+    """Run ``cases`` seeded cases, drawn, completed and checked by chunk.
+
+    ``draw(rng, unitary)`` makes one case's generator calls, where
+    ``unitary(dim)`` draws a Gaussian matrix and returns its index among
+    the chunk's unitaries.  It returns the case's check: given those
+    unitaries, the case's deviations.
+    """
+    if cases < 1:
+        raise ValueError(f"a sweep needs at least one case, got {cases}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(cases):
-        ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        a1, a2 = (_random_vector(rng, 2 ** ka) for _ in range(2))
-        b1, b2 = (_random_vector(rng, 2 ** kb) for _ in range(2))
-        norm_gap = abs(
-            np.linalg.norm(kron(a1, b1)) - np.linalg.norm(a1) * np.linalg.norm(b1)
-        )
+    for lo in range(0, cases, CHUNK_CASES):
+        gaussians: list[np.ndarray] = []
+
+        def unitary(dim: int) -> int:
+            gaussians.append(gaussian_matrix(dim, rng))
+            return len(gaussians) - 1
+
+        checks = [draw(rng, unitary) for _ in range(min(CHUNK_CASES, cases - lo))]
+        unitaries = complete_unitaries(gaussians)
+        for check in checks:
+            # np.max, unlike max, lets a NaN deviation through: it must fail
+            worst = float(np.max((worst, *check(unitaries))))
+    return SweepResult(name, cases, worst, tolerance)
+
+
+def _draw_factorization(rng: np.random.Generator, unitary):
+    ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    a1, a2 = (_random_vector(rng, 2 ** ka) for _ in range(2))
+    b1, b2 = (_random_vector(rng, 2 ** kb) for _ in range(2))
+
+    def check(unitaries):
+        norm_gap = abs(np.linalg.norm(kron(a1, b1)) - np.linalg.norm(a1) * np.linalg.norm(b1))
         ip_gap = abs(
             inner_product(kron(a1, b1), kron(a2, b2))
             - inner_product(a1, a2) * inner_product(b1, b2)
         )
-        worst = max(worst, float(norm_gap), float(ip_gap))
-    return SweepResult("tensor-factorization", cases, worst, FACTORIZATION_TOL)
+        return float(norm_gap), float(ip_gap)
+    return check
+
+
+def sweep_tensor_factorization(cases: int, seed: int) -> SweepResult:
+    return _sweep("tensor-factorization", FACTORIZATION_TOL, cases, seed, _draw_factorization)
+
+
+def _draw_families(rng: np.random.Generator, unitary):
+    ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    na = int(rng.integers(1, min(4, 2 ** ka) + 1))
+    nb = int(rng.integers(1, min(4, 2 ** kb) + 1))
+    vectors_a = [_random_vector(rng, 2 ** ka) for _ in range(na)]
+    vectors_b = [_random_vector(rng, 2 ** kb) for _ in range(nb)]
+
+    def check(unitaries):
+        family_a, _ = orthonormalize(vectors_a)
+        family_b, _ = orthonormalize(vectors_b)
+        products = [kron(a, b) for a in family_a for b in family_b]
+        # one vdot per entry: the entries inner_product gives, without its checks
+        gram = np.array([[np.vdot(x, y) for y in products] for x in products])
+        return (float(np.max(np.abs(gram - np.eye(len(products))))),)
+    return check
 
 
 def sweep_product_family(cases: int, seed: int) -> SweepResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        na = int(rng.integers(1, min(4, 2 ** ka) + 1))
-        nb = int(rng.integers(1, min(4, 2 ** kb) + 1))
-        family_a, _ = orthonormalize([_random_vector(rng, 2 ** ka) for _ in range(na)])
-        family_b, _ = orthonormalize([_random_vector(rng, 2 ** kb) for _ in range(nb)])
-        products = [kron(a, b) for a in family_a for b in family_b]
-        gram = np.array([[inner_product(x, y) for y in products] for x in products])
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(products))))))
-    return SweepResult("product-family", cases, worst, FACTORIZATION_TOL)
+    return _sweep("product-family", FACTORIZATION_TOL, cases, seed, _draw_families)
 
 
-def _apply_gates(state: np.ndarray, gates, width: int) -> np.ndarray:
-    for gate in gates:
-        state = apply_gate(state, gate, width)
-    return state
+def _draw_split(rng: np.random.Generator, unitary):
+    width = int(rng.integers(4, 7))
+    cut = int(rng.integers(1, width))
+    q1, q2 = list(range(cut)), list(range(cut, width))
+    specs = []
+    for _ in range(int(rng.integers(2, 7))):
+        side = q1 if (rng.random() < 0.5 or len(q2) < 2) else q2
+        if len(side) < 2:
+            side = q2 if side is q1 else q1
+        pair = rng.choice(side, size=min(2, len(side)), replace=False)
+        specs.append((tuple(int(t) for t in pair), unitary(2 ** len(pair))))
+    states = np.zeros((2 ** width, 2), dtype=complex)  # a basis state, a random one
+    states[int(rng.integers(0, 2 ** width)), 0] = 1.0
+    states[:, 1] = _random_vector(rng, 2 ** width, unit=True)
+
+    def through(*sequences):  # both states as one 2-column batch
+        tensor = states.reshape([2] * width + [2])
+        for gate in (gate for sequence in sequences for gate in sequence):
+            tensor = _apply(tensor, gate)
+        return tensor.reshape(-1, 2)
+
+    def check(unitaries):
+        gates = [Gate(step=i + 1, targets=targets, matrix=unitaries[u])
+                 for i, (targets, u) in enumerate(specs)]
+        c1, c2 = decompose_disjoint(gates, q1, q2)
+        reference = through(gates)
+        first = np.max(np.abs(reference - through(c1, c2)), axis=0)
+        second = np.max(np.abs(reference - through(c2, c1)), axis=0)
+        return float(first[0]), float(second[0]), float(first[1]), float(second[1])
+    return check
 
 
 def sweep_disjoint_split(cases: int, seed: int) -> SweepResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        width = int(rng.integers(4, 7))
-        cut = int(rng.integers(1, width))
-        q1, q2 = list(range(cut)), list(range(cut, width))
-        gates = []
-        for step in range(int(rng.integers(2, 7))):
-            side = q1 if (rng.random() < 0.5 or len(q2) < 2) else q2
-            if len(side) < 2:
-                side = q2 if side is q1 else q1
-            pair = rng.choice(side, size=min(2, len(side)), replace=False)
-            gates.append(
-                Gate(step=step + 1, targets=tuple(int(t) for t in pair),
-                     matrix=random_unitary(2 ** len(pair), rng))
-            )
-        c1, c2 = decompose_disjoint(gates, q1, q2)
-        basis = np.zeros(2 ** width, dtype=complex)
-        basis[int(rng.integers(0, 2 ** width))] = 1.0
-        for state in (basis, _random_vector(rng, 2 ** width, unit=True)):
-            reference = _apply_gates(state, gates, width)
-            first = _apply_gates(_apply_gates(state, c1, width), c2, width)
-            second = _apply_gates(_apply_gates(state, c2, width), c1, width)
-            worst = max(
-                worst,
-                float(np.max(np.abs(reference - first))),
-                float(np.max(np.abs(reference - second))),
-            )
-    return SweepResult("disjoint-split", cases, worst, OPERATOR_TOL)
+    return _sweep("disjoint-split", OPERATOR_TOL, cases, seed, _draw_split)
 
 
-def _random_postpone_instance(rng: np.random.Generator):
+def _draw_postpone(rng: np.random.Generator, unitary):
     """Chain on line 0 with partners 1..t and movable cone gates."""
     t = int(rng.integers(2, 4))
     spare = int(rng.integers(1, 3))
@@ -128,7 +172,7 @@ def _random_postpone_instance(rng: np.random.Generator):
     cone_pool: list[int] = []
     free_pool = list(range(1 + t, width))
     for j in range(1, t + 1):
-        specs.append(((0, j), random_unitary(4, rng)))
+        specs.append(((0, j), unitary(4)))
         cone_pool.append(j)
         if j < t and rng.random() < 0.8:
             partner = int(rng.choice(cone_pool))
@@ -138,30 +182,31 @@ def _random_postpone_instance(rng: np.random.Generator):
                 other = int(rng.choice(cone_pool))
                 if other == partner:
                     continue
-            specs.append(((partner, other), random_unitary(4, rng)))
+            specs.append(((partner, other), unitary(4)))
             cone_pool.append(other)
-    circuit = build_circuit(
-        num_qubits=width,
-        labels=[constant(0)] * width,
-        gate_specs=specs,
-        output_qubit=0,
-    )
-    return circuit, 0, list(range(1, t + 1))
+
+    def check(unitaries):
+        circuit = build_circuit(
+            num_qubits=width,
+            labels=[constant(0)] * width,
+            gate_specs=[(targets, unitaries[u]) for targets, u in specs],
+            output_qubit=0,
+        )
+        moved = postpone(circuit, 0, list(range(1, t + 1)))
+        return (float(np.max(np.abs(to_unitary(circuit) - to_unitary(moved)))),)
+    return check
 
 
 def sweep_postponement(cases: int, seed: int) -> SweepResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        circuit, q, partners = _random_postpone_instance(rng)
-        moved = postpone(circuit, q, partners)
-        gap = np.max(np.abs(to_unitary(circuit) - to_unitary(moved)))
-        worst = max(worst, float(gap))
-    return SweepResult("postponement", cases, worst, OPERATOR_TOL)
+    return _sweep("postponement", OPERATOR_TOL, cases, seed, _draw_postpone)
 
 
 def run_all_sweeps(cases: int = 1000, seed: int = 7) -> tuple[SweepResult, ...]:
-    """The four suites with per-suite derived seeds; deterministic."""
+    """The four suites with per-suite derived seeds; deterministic.
+
+    Raises ValueError for ``cases < 1``: a sweep that checks nothing
+    proves nothing.
+    """
     return (
         sweep_tensor_factorization(cases, seed),
         sweep_product_family(cases, seed + 1),

@@ -360,3 +360,36 @@ def test_unreadable_circuit_files_exit_1_without_traceback(tmp_path, capsys, con
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cases", ["0", "-5", "ten"])
+def test_verify_lemmas_without_cases_is_a_usage_error(capsys, cases):
+    # a sweep of no cases used to report "passed": true
+    with pytest.raises(SystemExit) as err:
+        main(["verify-lemmas", "--json", "--cases", cases])
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cases: must be a positive integer" in captured.err
+
+
+def test_ed_check_and_emit_build_the_table_once(tmp_path, capsys, monkeypatch):
+    from qformula import cli, nechiporuk
+
+    built, original = [], nechiporuk.ed_function
+
+    def counted(ell):
+        built.append(ell)
+        return original(ell)
+
+    monkeypatch.setattr(cli, "ed_function", counted)
+    monkeypatch.setattr(nechiporuk, "ed_function", counted)
+    code, out, _ = run_cli(capsys, "ed", "--ell", "3", "--check", "--emit",
+                           "--dir", str(tmp_path), "--json")
+    assert code == 0
+    assert built == [3]
+    assert json.loads(out)["sigmas"] == [121] * 3
+    assert (tmp_path / "ed12.tt").read_text().split("\n")[1] == original(3).to_string()
+    built.clear()
+    assert run_cli(capsys, "ed", "--ell", "3")[0] == 0
+    assert built == []  # neither flag: no table

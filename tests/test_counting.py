@@ -159,3 +159,44 @@ def test_h_gate_on_undetermined_band_example():
     net = GateNet.of([("H", H)])
     result = enumerate_functions(1, 1, net, num_qubits=1)
     assert result.count == 0 and result.undetermined_circuits == 1
+
+
+def _enumerate_line_by_line(n, num_gates, net, num_qubits):
+    """The scan with each output line decided on its own, gates built per circuit."""
+    import itertools
+
+    from qformula.circuit import Circuit, Gate, constant, variable
+    from qformula.simulator import decide, final_states
+
+    labels_options = [variable(j) for j in range(1, n + 1)] + [constant(0), constant(1)]
+    placements = [
+        (m, t) for _, m in net.entries
+        for t in itertools.permutations(range(num_qubits), int(math.log2(m.shape[0])))
+        if int(math.log2(m.shape[0])) <= min(2, num_qubits)
+    ]
+    found, scanned, undetermined = set(), 0, 0
+    for labels in itertools.product(labels_options, repeat=num_qubits):
+        if {lb.var for lb in labels if lb.var is not None} != set(range(1, n + 1)):
+            continue
+        for chosen in itertools.product(placements, repeat=num_gates):
+            gates = tuple(Gate(step=i + 1, targets=t, matrix=m) for i, (m, t) in enumerate(chosen))
+            base = Circuit(num_qubits=num_qubits, labels=labels, gates=gates, output_qubit=0)
+            weights = np.abs(final_states(base, 0, 2 ** n)) ** 2
+            for q in range(num_qubits):
+                scanned += 1
+                others = tuple(a for a in range(num_qubits) if a != q)
+                decided = decide(weights.sum(axis=others)[1])
+                if np.any(decided < 0):
+                    undetermined += 1
+                    continue
+                found.add("".join(map(str, decided)))
+    return tuple(sorted(found)), scanned, undetermined
+
+
+@pytest.mark.parametrize("n, num_gates, num_qubits", [(1, 1, 1), (2, 2, 3), (2, 3, 2), (1, 0, 2)])
+def test_batched_enumeration_equals_line_by_line_decisions(n, num_gates, num_qubits):
+    net = GateNet.of([("I", I2), ("X", X), ("H", H), ("CNOT", CNOT)])
+    result = enumerate_functions(n, num_gates, net, num_qubits=num_qubits)
+    assert (result.tables, result.circuits_scanned, result.undetermined_circuits) == (
+        _enumerate_line_by_line(n, num_gates, net, num_qubits)
+    )

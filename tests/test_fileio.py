@@ -327,3 +327,14 @@ def test_partition_round_trip(tmp_path):
     blocks = [frozenset({1, 2}), frozenset({3, 4})]
     write_partition(blocks, path)
     assert read_partition(path) == blocks
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10])
+def test_truth_table_text_equals_one_character_per_bit(tmp_path, n):
+    rng = np.random.default_rng(n)
+    # any nonzero entry is written as 1
+    bits = rng.integers(0, 3, size=2 ** n)
+    path = tmp_path / "t.tt"
+    write_truth_table(n, bits, path)
+    text = "".join("1" if b else "0" for b in bits.astype(np.uint8))
+    assert path.read_bytes() == f"{n}\n{text}\n".encode()

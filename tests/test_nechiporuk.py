@@ -180,3 +180,45 @@ def test_table_and_partition_must_agree_on_n():
             Partition.of(3, [[1], [2], [3]]),
             0,
         )
+
+
+def _unique_rows(f, partition, j):
+    """Block j's tables deduped by np.unique over whole 0/1 rows."""
+    block = sorted(partition.blocks[j])
+    outside = [v for v in range(1, f.n + 1) if v not in partition.blocks[j]]
+    arranged = np.moveaxis(
+        f.bits.reshape([2] * f.n), [v - 1 for v in block + outside], list(range(f.n))
+    ).reshape(2 ** len(block), -1)
+    return tuple(row.tobytes() for row in np.unique(np.ascontiguousarray(arranged.T), axis=0))
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("kind", ["random", "constant", "all-distinct"])
+def test_packed_subfunctions_equal_unique_rows(width, kind):
+    # blocks of 8 variables have 256-bit tables: packed rows wider than 64 bits
+    rng = np.random.default_rng(width)
+    k = min(5, 2 ** width)  # outside variables
+    n = width + k
+    if kind == "all-distinct":
+        # the block's variables first; outside assignment y induces the table
+        # whose bit x is bit x of y, so all 2^k tables differ
+        x, y = np.divmod(np.arange(2 ** n), 2 ** k)
+        bits = (y >> x) & 1
+        blocks = [range(1, width + 1), range(width + 1, n + 1)]
+    else:
+        bits = rng.integers(0, 2, 2 ** n) if kind == "random" else np.ones(2 ** n, int)
+        # a block spread over the variables, to exercise the axis moves
+        order = rng.permutation(np.arange(1, n + 1))
+        blocks = [order[:width], order[width:]]
+    f = TruthTable(n=n, bits=bits.astype(np.uint8))
+    partition = Partition.of(n, blocks)
+    table = subfunctions(f, partition, 0)
+    assert table.tables == _unique_rows(f, partition, 0)
+    expected = {"random": None, "constant": 1, "all-distinct": 2 ** k}[kind]
+    assert expected is None or table.sigma == expected
+
+
+def test_packed_subfunctions_of_ed4_equal_unique_rows():
+    f, partition = ed_function(4), ed_partition(4)
+    for j in range(4):
+        assert subfunctions(f, partition, j).tables == _unique_rows(f, partition, j)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,14 @@ def test_orthonormalize_all_zero_input():
 def test_orthonormalize_empty_list_rejected():
     with pytest.raises(ValueError):
         orthonormalize([])
+
+
+def test_kron_equals_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(5)
+    # 1-entry factors included: a product of two is rounded as np.kron rounds it
+    for ka, kb, _ in itertools.product(range(5), range(5), range(20)):
+        a = rng.normal(size=2 ** ka) + 1j * rng.normal(size=2 ** ka)
+        b = rng.normal(size=2 ** kb) + 1j * rng.normal(size=2 ** kb)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+    # real and integer factors come back complex, as np.kron of complex ones
+    assert np.array_equal(kron([1, 0], [0.5, 2]), np.kron([1, 0], [0.5, 2]).astype(complex))

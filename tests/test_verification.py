@@ -1,0 +1,240 @@
+"""The chunked sweeps against a one-case-at-a-time copy of the same loops.
+
+The reference loops below draw, complete and check each case before the
+next one, with ``random_unitary`` completing every matrix on its own and
+``apply_gate`` running the two states of a disjoint split one after the
+other.  The chunked sweeps must reproduce them exactly: same cases, same
+deviations, bit for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from qformula import verification
+from qformula.circuit import Gate, build_circuit, constant
+from qformula.gates import complete_unitaries, gaussian_matrix, random_unitary
+from qformula.rewrite import decompose_disjoint, postpone
+from qformula.simulator import apply_gate, to_unitary
+from qformula.tensor import inner_product, kron, orthonormalize
+from qformula.verification import (
+    CHUNK_CASES,
+    run_all_sweeps,
+    sweep_disjoint_split,
+    sweep_postponement,
+    sweep_product_family,
+    sweep_tensor_factorization,
+)
+
+
+def _random_vector(rng, dim, unit=False):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v) if unit else v
+
+
+def reference_tensor_factorization(cases, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        a1, a2 = (_random_vector(rng, 2 ** ka) for _ in range(2))
+        b1, b2 = (_random_vector(rng, 2 ** kb) for _ in range(2))
+        norm_gap = abs(
+            np.linalg.norm(kron(a1, b1)) - np.linalg.norm(a1) * np.linalg.norm(b1)
+        )
+        ip_gap = abs(
+            inner_product(kron(a1, b1), kron(a2, b2))
+            - inner_product(a1, a2) * inner_product(b1, b2)
+        )
+        worst = max(worst, float(norm_gap), float(ip_gap))
+    return worst
+
+
+def reference_product_family(cases, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        na = int(rng.integers(1, min(4, 2 ** ka) + 1))
+        nb = int(rng.integers(1, min(4, 2 ** kb) + 1))
+        family_a, _ = orthonormalize([_random_vector(rng, 2 ** ka) for _ in range(na)])
+        family_b, _ = orthonormalize([_random_vector(rng, 2 ** kb) for _ in range(nb)])
+        products = [kron(a, b) for a in family_a for b in family_b]
+        gram = np.array([[inner_product(x, y) for y in products] for x in products])
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(products))))))
+    return worst
+
+
+def _apply_gates(state, gates, width):
+    for gate in gates:
+        state = apply_gate(state, gate, width)
+    return state
+
+
+def reference_disjoint_split(cases, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        width = int(rng.integers(4, 7))
+        cut = int(rng.integers(1, width))
+        q1, q2 = list(range(cut)), list(range(cut, width))
+        gates = []
+        for step in range(int(rng.integers(2, 7))):
+            side = q1 if (rng.random() < 0.5 or len(q2) < 2) else q2
+            if len(side) < 2:
+                side = q2 if side is q1 else q1
+            pair = rng.choice(side, size=min(2, len(side)), replace=False)
+            gates.append(
+                Gate(step=step + 1, targets=tuple(int(t) for t in pair),
+                     matrix=random_unitary(2 ** len(pair), rng))
+            )
+        c1, c2 = decompose_disjoint(gates, q1, q2)
+        basis = np.zeros(2 ** width, dtype=complex)
+        basis[int(rng.integers(0, 2 ** width))] = 1.0
+        for state in (basis, _random_vector(rng, 2 ** width, unit=True)):
+            reference = _apply_gates(state, gates, width)
+            first = _apply_gates(_apply_gates(state, c1, width), c2, width)
+            second = _apply_gates(_apply_gates(state, c2, width), c1, width)
+            worst = max(
+                worst,
+                float(np.max(np.abs(reference - first))),
+                float(np.max(np.abs(reference - second))),
+            )
+    return worst
+
+
+def _random_postpone_instance(rng):
+    t = int(rng.integers(2, 4))
+    spare = int(rng.integers(1, 3))
+    width = 1 + t + spare
+    specs = []
+    cone_pool = []
+    free_pool = list(range(1 + t, width))
+    for j in range(1, t + 1):
+        specs.append(((0, j), random_unitary(4, rng)))
+        cone_pool.append(j)
+        if j < t and rng.random() < 0.8:
+            partner = int(rng.choice(cone_pool))
+            if free_pool and rng.random() < 0.7:
+                other = free_pool.pop()
+            else:
+                other = int(rng.choice(cone_pool))
+                if other == partner:
+                    continue
+            specs.append(((partner, other), random_unitary(4, rng)))
+            cone_pool.append(other)
+    circuit = build_circuit(
+        num_qubits=width, labels=[constant(0)] * width, gate_specs=specs, output_qubit=0
+    )
+    return circuit, 0, list(range(1, t + 1))
+
+
+def reference_postponement(cases, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        circuit, q, partners = _random_postpone_instance(rng)
+        moved = postpone(circuit, q, partners)
+        gap = np.max(np.abs(to_unitary(circuit) - to_unitary(moved)))
+        worst = max(worst, float(gap))
+    return worst
+
+
+PAIRS = [
+    (sweep_tensor_factorization, reference_tensor_factorization),
+    (sweep_product_family, reference_product_family),
+    (sweep_disjoint_split, reference_disjoint_split),
+    (sweep_postponement, reference_postponement),
+]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("sweep, reference", PAIRS, ids=lambda f: f.__name__)
+def test_sweep_equals_the_one_case_loop(sweep, reference, seed):
+    result = sweep(10, seed)
+    assert result.cases == 10
+    assert result.max_deviation == reference(10, seed)
+    assert result.passed
+
+
+@pytest.mark.parametrize("sweep, reference", PAIRS, ids=lambda f: f.__name__)
+def test_sweep_equals_the_one_case_loop_past_a_chunk(sweep, reference):
+    cases = CHUNK_CASES + 1
+    assert sweep(cases, 3).max_deviation == reference(cases, 3)
+
+
+@pytest.mark.parametrize("sweep, reference", PAIRS, ids=lambda f: f.__name__)
+def test_sweep_equals_the_one_case_loop_over_many_small_chunks(monkeypatch, sweep, reference):
+    monkeypatch.setattr(verification, "CHUNK_CASES", 3)
+    assert sweep(10, 11).max_deviation == reference(10, 11)
+
+
+def test_a_broken_postponement_fails_its_sweep(monkeypatch):
+    from dataclasses import replace
+
+    # keeps every gate but runs them in reverse step order
+    def reversed_postpone(circuit, q, partners):
+        gates = circuit.gates[::-1]
+        return replace(circuit, gates=tuple(
+            Gate(step=i + 1, targets=g.targets, matrix=g.matrix) for i, g in enumerate(gates)
+        ))
+
+    monkeypatch.setattr(verification, "postpone", reversed_postpone)
+    result = sweep_postponement(10, 0)
+    assert not result.passed
+    assert result.max_deviation > 1e-3
+
+
+def test_a_broken_disjoint_split_fails_its_sweep(monkeypatch):
+    # each side in reverse order: gates sharing a line stop commuting
+    def reversed_split(gates, q1, q2):
+        c1, c2 = decompose_disjoint(gates, q1, q2)
+        return c1[::-1], c2[::-1]
+
+    monkeypatch.setattr(verification, "decompose_disjoint", reversed_split)
+    result = sweep_disjoint_split(10, 0)
+    assert not result.passed
+    assert result.max_deviation > 1e-3
+
+
+def test_a_nan_deviation_fails_its_sweep(monkeypatch):
+    from dataclasses import replace
+
+    # a postponement whose first gate turned to NaN: every deviation is NaN
+    def nan_postpone(circuit, q, partners):
+        first = circuit.gates[0]
+        nan = Gate(step=first.step, targets=first.targets, matrix=np.full((4, 4), np.nan))
+        return replace(circuit, gates=(nan, *circuit.gates[1:]))
+
+    monkeypatch.setattr(verification, "postpone", nan_postpone)
+    result = sweep_postponement(10, 0)
+    assert np.isnan(result.max_deviation)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("cases", [0, -5])
+def test_a_sweep_with_no_cases_is_refused(cases):
+    with pytest.raises(ValueError, match="at least one case"):
+        run_all_sweeps(cases=cases, seed=7)
+    for sweep, _ in PAIRS:
+        with pytest.raises(ValueError, match="at least one case"):
+            sweep(cases, 7)
+
+
+def _one_qr(z):
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 64])
+def test_stacked_completion_equals_one_qr_per_matrix(dim):
+    rng = np.random.default_rng(dim)
+    # dimensions interleaved, as a sweep's chunk draws them
+    gaussians = [gaussian_matrix(d, rng) for _ in range(5) for d in (dim, 2)]
+    unitaries = complete_unitaries(gaussians)
+    for z, u in zip(gaussians, unitaries):
+        assert np.array_equal(u, _one_qr(z))
+    first, second = np.random.default_rng(1), np.random.default_rng(1)
+    z = second.normal(size=(dim, dim)) + 1j * second.normal(size=(dim, dim))
+    assert np.array_equal(random_unitary(dim, first), _one_qr(z))
