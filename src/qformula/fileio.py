@@ -245,10 +245,14 @@ def read_truth_table(path) -> tuple[int, np.ndarray]:
 
 
 def write_truth_table(n: int, bits, path) -> None:
-    arr = np.asarray(bits).astype(np.uint8).reshape(-1)
+    """Write n and the 2^n bits; an entry other than 0 or 1 is a ValueError."""
+    arr = np.asarray(bits).reshape(-1)
     if arr.size != 2 ** n:
         raise ValueError(f"expected {2 ** n} bits, got {arr.size}")
-    text = np.where(arr != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    bad = np.flatnonzero((arr != 0) & (arr != 1))
+    if bad.size:
+        raise ValueError(f"truth-table entry {bad[0]} is {arr[bad[0]]}, not 0 or 1")
+    text = np.where(arr == 1, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
     Path(path).write_text(f"{n}\n{text}\n", encoding="utf-8")
 
 

@@ -1,4 +1,4 @@
-"""Standard gate matrices and deterministic random unitaries.
+"""Standard gate matrices, deterministic random unitaries, capped products.
 
 All matrices are complex128 numpy arrays indexed with the gate's first
 target qubit as the most significant bit.
@@ -36,6 +36,12 @@ SWAP = np.array(
 TOFFOLI = np.eye(8, dtype=complex)
 TOFFOLI[[6, 7]] = TOFFOLI[[7, 6]]
 
+# multiply-adds of the largest product handed to BLAS in one call.
+# OpenBLAS splits larger products across threads, which stall for up to
+# milliseconds per call when the other cores are busy; complex products
+# of 2^15 stayed on one thread and 2^16 did not (OpenBLAS 0.3.31).
+BLAS_SLICE_MACS = 2 ** 15
+
 NAMED_GATES: dict[str, np.ndarray] = {
     "I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T,
     "CNOT": CNOT, "CZ": CZ, "SWAP": SWAP, "TOFFOLI": TOFFOLI,
@@ -67,16 +73,32 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return complete_unitaries([gaussian_matrix(dim, rng)])[0]
 
 
+def capped_matmul(matrix: np.ndarray, flat: np.ndarray, out=None) -> np.ndarray:
+    """``matrix @ flat`` (square matrix), written to ``out`` when given.  A
+    product of more than ``BLAS_SLICE_MACS`` multiply-adds goes as one
+    stack of column slices, as wide as fits (at least one column)."""
+    dim, cols = flat.shape
+    if dim * dim * cols <= BLAS_SLICE_MACS:
+        return np.matmul(matrix, flat, out=out)
+    width = math.gcd(cols, max(1, BLAS_SLICE_MACS // dim ** 2))
+    shape = (dim, cols // width, width)
+    if out is None:
+        out = np.empty(flat.shape, np.result_type(matrix, flat))
+    np.matmul(matrix, flat.reshape(shape).transpose(1, 0, 2),
+              out=out.reshape(shape).transpose(1, 0, 2))
+    return out
+
+
 def unitary_deviation(matrix: np.ndarray) -> float:
     """Max-entry norm of U†U - I (0 for an exact unitary).
 
-    Entries near the float range overflow in the product; the deviation
-    is then inf, without a numpy warning.
+    Entries near the float range overflow in the (capped) product; the
+    deviation is then inf, without a numpy warning.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return float("inf")
     eye = np.eye(matrix.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = float(np.abs(matrix.conj().T @ matrix - eye).max())
+        deviation = float(np.abs(capped_matmul(matrix.conj().T, matrix) - eye).max())
     return float("inf") if math.isnan(deviation) else deviation

@@ -14,26 +14,27 @@ leading qubit axes of a tensor and leaves any trailing batch axes alone:
   every gate in step order, never reordering commuting gates, so it is
   the trusted oracle for the rewrite passes and for the two fast paths
   below.  ``probability_vector`` pushes the assignments through in
-  batches of at most ``CHUNK_AMPLITUDES`` amplitudes.
-* The pruned, fused state vector runs the same batches over a shorter
-  schedule.  It keeps only the gates in the output line's backward light
-  cone (a dropped gate commutes past every kept one and never acts on
-  the output line, so p is exact), then fuses consecutive kept gates
-  into blocks on at most ``FUSED_LINES`` lines, one matrix each: fewer,
-  larger products instead of one kernel call per gate.
+  batches of at most ``CHUNK_AMPLITUDES`` (2^13) amplitudes.
+* The pruned, fused state vector keeps only the output line's backward
+  light cone, the computation graph's gates (a dropped gate commutes
+  past every kept one and never acts on the output line, so p is
+  exact), fused into blocks on at most ``FUSED_LINES`` lines, one
+  matrix each.  Its state holds the cone's lines only; the others never
+  change, so only the variables on cone lines are scanned and p is
+  broadcast over the rest.  Batches hold ``PRUNED_AMPLITUDES`` (2^15)
+  amplitudes; the batch array and the kernel's scratch for its
+  transposed copies are allocated once per call and handed down.
 * The tree contraction (``contract_formula``) needs a formula.  Each
   gate of the computation graph combines its children's reduced density
   matrices with the basis states of its bare input lines, applies
   U rho U^dagger and traces out the lines that do not go to its parent;
   gates outside the graph drop out.  Messages have at most 2^k x 2^k
-  entries for a k-qubit gate, whatever the line count.
+  entries for a k-qubit gate, whatever the line count; a batch keeps at
+  most ``CHUNK_AMPLITUDES`` entries at once.
 
-Both state vectors are capped at ``max_qubits`` lines.  The kernel
-hands BLAS no product of more than ``BLAS_SLICE_MACS`` multiply-adds in
-one call: a larger one (a fused block, a wide gate, ``to_unitary`` on
-many lines) goes as a stack of column slices, because OpenBLAS splits
-larger products across threads, and those threads stall when the other
-cores are busy.
+Both state vectors are capped at ``max_qubits`` lines.  The kernel's
+products go through ``gates.capped_matmul``, which hands BLAS no
+product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call.
 
 ``evaluate`` dispatches on ``is_formula``: formulas take the
 contraction, everything else the pruned, fused state vector.  Either
@@ -47,27 +48,25 @@ is deterministic and side-effect free.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import NotAFormulaError, _line_maps, computation_graph, is_formula
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, variable
+from .gates import capped_matmul
 
 DEFAULT_MAX_QUBITS = 20
 NORM_TOL = 1e-10
 # p this close to 1/3 or 2/3 is re-decided by the state vector
 BOUNDARY_TOL = 1e-12
-# complex numbers a batch of assignments may hold: one state-vector array,
-# or everything a tree contraction keeps at once.  At 2^13 (128 KiB) a
-# batch stays in cache.
+# complex numbers a batch of assignments may hold: one state-vector array
+# of the step-order oracle, or everything a tree contraction keeps at
+# once.  At 2^13 (128 KiB) a batch stays in cache.
 CHUNK_AMPLITUDES = 2 ** 13
-# multiply-adds of the largest product the kernel hands to BLAS in one
-# call.  OpenBLAS splits larger products across threads, which stall for
-# up to milliseconds per call when the other cores are busy; complex
-# products of 2^15 stayed on one thread and 2^16 did not (OpenBLAS 0.3.31).
-BLAS_SLICE_MACS = 2 ** 15
+# the same for each of the pruned state vector's two arrays (the batch and
+# the kernel's scratch); 2^15 ran faster than 2^13 or 2^14 at 12 lines.
+PRUNED_AMPLITUDES = 2 ** 15
 # lines a fused block of the pruned state vector may act on: a k-line
 # block costs 2^k multiply-adds per amplitude, against 2^a for each of
 # the a-qubit gates it replaces
@@ -79,32 +78,25 @@ class SimulationError(ValueError):
     """Inputs to the simulator are malformed."""
 
 
-def _apply(tensor: np.ndarray, gate, out: np.ndarray | None = None) -> np.ndarray:
+def _apply(tensor: np.ndarray, gate, out=None, scratch=None) -> np.ndarray:
     """The gate kernel: act on the qubit axes ``gate.targets``.
 
     ``tensor`` has one axis of size 2 per qubit followed by any number
     of batch axes, which pass through untouched.  The result is written
     to ``out`` when given: a contiguous array of the tensor's size, which
-    may be the very buffer ``tensor`` views, so a batched pass holds two
-    arrays at a time, not three.  A product of more than
-    ``BLAS_SLICE_MACS`` multiply-adds goes to BLAS as a stack of column
-    slices, each within that size unless one column alone exceeds it.
+    may be the very buffer ``tensor`` views.  The targets-first copy of
+    the input goes to ``scratch`` when given (a flat array the caller
+    owns, at least the tensor's size), else to a new array.  Products go
+    through ``capped_matmul``.
     """
     order, back = _axis_orders(gate.targets, tensor.ndim)
     front = tensor.transpose(order)
+    if scratch is not None:
+        copy = scratch[:tensor.size].reshape(front.shape)
+        np.copyto(copy, front)
+        front = copy
     flat = front.reshape(2 ** gate.arity, -1)
-    dim, cols = flat.shape
-    if dim * dim * cols <= BLAS_SLICE_MACS:
-        product = np.matmul(gate.matrix, flat, out=None if out is None else out.reshape(flat.shape))
-    else:
-        # one stack of column slices, as wide as fits: the largest power of
-        # two that divides cols and keeps a slice within BLAS_SLICE_MACS
-        width = math.gcd(cols, max(1, BLAS_SLICE_MACS // dim ** 2))
-        shape = (dim, cols // width, width)
-        if out is None:
-            out = np.empty(flat.shape, np.result_type(gate.matrix, flat))
-        product = np.matmul(gate.matrix, flat.reshape(shape).transpose(1, 0, 2),
-                            out=out.reshape(shape).transpose(1, 0, 2)).transpose(1, 0, 2)
+    product = capped_matmul(gate.matrix, flat, None if out is None else out.reshape(flat.shape))
     return product.reshape(front.shape).transpose(back)
 
 
@@ -237,15 +229,19 @@ def run(
     return state, output_probability(state, circuit.output_qubit, m)
 
 
-def _evolve(circuit: Circuit, gates, lo: int, hi: int) -> np.ndarray:
-    """Apply ``gates`` in order to the input states of assignments lo..hi-1."""
-    m = circuit.num_qubits
+def _evolve(circuit: Circuit, gates, lo: int, hi: int, buffers=(None, None)) -> np.ndarray:
+    """Apply ``gates`` in order to the input states of assignments lo..hi-1.
+    ``buffers``: the batch array and the kernel's scratch, flat arrays of
+    at least 2^m (hi - lo) entries reused across batches, or None."""
+    m, size = circuit.num_qubits, hi - lo
     index = (1 << np.arange(m - 1, -1, -1)) @ _line_values(circuit, lo, hi)
-    state = np.zeros((2 ** m, hi - lo), dtype=complex)
-    state[index, np.arange(hi - lo)] = 1.0
-    tensor = state.reshape([2] * m + [hi - lo])
+    buffer = np.empty(size << m, complex) if buffers[0] is None else buffers[0]
+    state = buffer[:size << m].reshape(2 ** m, size)
+    state.fill(0)
+    state[index, np.arange(size)] = 1.0
+    tensor = state.reshape([2] * m + [size])
     for gate in gates:
-        tensor = _apply(tensor, gate, state)
+        tensor = _apply(tensor, gate, state, buffers[1])
     return tensor
 
 
@@ -259,20 +255,20 @@ def final_states(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
     return _evolve(circuit, _steps(circuit), lo, hi)
 
 
-def _probabilities(circuit: Circuit, gates) -> np.ndarray:
-    """p1 of every assignment after ``gates``, in batches of at most
-    ``CHUNK_AMPLITUDES`` amplitudes (at least one assignment), with every
-    final state's norm checked."""
+def _scan(circuit: Circuit, gates, budget: int):
+    """p1 and the final norm of every assignment after ``gates``, in
+    batches of at most ``budget`` amplitudes (at least one assignment);
+    several batches share one batch array and one kernel scratch."""
     m, n = circuit.num_qubits, circuit.num_variables
     others = tuple(q for q in range(m) if q != circuit.output_qubit)
-    batch = max(1, CHUNK_AMPLITUDES >> m)
-    out = np.empty(2 ** n)
+    batch = min(max(1, budget >> m), 2 ** n)
+    buffers = [np.empty(batch << m, complex) if batch < 2 ** n else None for _ in range(2)]
+    p, norms = np.empty(2 ** n), np.empty(2 ** n)
     for lo in range(0, 2 ** n, batch):
         hi = min(lo + batch, 2 ** n)
-        marginal = (np.abs(_evolve(circuit, gates, lo, hi)) ** 2).sum(axis=others)
-        _check_drift(np.sqrt(marginal.sum(axis=0)), lo, n, "state norm")
-        out[lo:hi] = marginal[1]
-    return out
+        marginal = (np.abs(_evolve(circuit, gates, lo, hi, buffers)) ** 2).sum(axis=others)
+        p[lo:hi], norms[lo:hi] = marginal[1], np.sqrt(marginal.sum(axis=0))
+    return p, norms
 
 
 def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
@@ -283,32 +279,18 @@ def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS
     """
     _require_cap(circuit, max_qubits)
     circuit.check()
-    return _probabilities(circuit, _steps(circuit))
+    p, norms = _scan(circuit, _steps(circuit), CHUNK_AMPLITUDES)
+    _check_drift(norms, 0, circuit.num_variables, "state norm")
+    return p
 
 
 # ---------------------------------------------------------------------------
 # pruned, fused state vector
 
 
-def _light_cone(circuit: Circuit) -> list[Gate]:
-    """The gates in the output line's backward light cone, in step order.
-
-    Walking back from the output line, a gate is kept when it meets the
-    cone, which then takes in its lines.  A dropped gate meets no line of
-    the cone after it, so it commutes past every kept gate and never acts
-    on the output line: p is unchanged.
-    """
-    cone = {circuit.output_qubit}
-    kept = []
-    for gate in reversed(_steps(circuit)):
-        if not cone.isdisjoint(gate.targets):
-            cone.update(gate.targets)
-            kept.append(gate)
-    return kept[::-1]
-
-
 def _fused_schedule(circuit: Circuit) -> list[Gate]:
-    """The light cone as blocks of at most ``FUSED_LINES`` lines.
+    """The light cone, the computation graph's gates, as blocks of at
+    most ``FUSED_LINES`` lines.
 
     Each gate, in step order, joins the open blocks it meets into one,
     unless that would exceed the line cap; then those blocks are closed
@@ -317,7 +299,8 @@ def _fused_schedule(circuit: Circuit) -> list[Gate]:
     """
     closed: list[list[Gate]] = []
     open_blocks: list[tuple[set[int], list[Gate]]] = []
-    for gate in _light_cone(circuit):
+    by_step = {g.step: g for g in circuit.gates}
+    for gate in (by_step[step] for step in computation_graph(circuit).gate_steps):
         met = [b for b in open_blocks if not b[0].isdisjoint(gate.targets)]
         open_blocks = [b for b in open_blocks if b[0].isdisjoint(gate.targets)]
         lines = set(gate.targets).union(*(b[0] for b in met))
@@ -339,6 +322,27 @@ def _fuse(gates: list[Gate]) -> Gate:
     matrix = _operator([Gate(g.step, tuple(local[q] for q in g.targets), g.matrix)
                         for g in gates], len(lines))
     return Gate(gates[-1].step, tuple(lines), matrix)
+
+
+def _probabilities(circuit: Circuit, gates) -> np.ndarray:
+    """p1 of every assignment after ``gates``, a schedule of the output
+    line's light cone, on the cone's lines only: the others never change
+    and never reach the output, so only the variables on cone lines are
+    scanned, and p is broadcast over the rest in scan order."""
+    lines = sorted({circuit.output_qubit}.union(*(g.targets for g in gates)))
+    local = {q: i for i, q in enumerate(lines)}
+    labels = [circuit.labels[q] for q in lines]
+    scanned = sorted({lb.var for lb in labels} - {None})
+    cone = Circuit(len(lines), [variable(scanned.index(lb.var) + 1) if lb.is_variable else lb
+                                for lb in labels],
+                   [Gate(g.step, tuple(local[q] for q in g.targets), g.matrix) for g in gates],
+                   local[circuit.output_qubit])
+    n = circuit.num_variables
+    shape = [2 if j in scanned else 1 for j in range(1, n + 1)]
+    p, norms = (np.broadcast_to(a.reshape(shape), (2,) * n).flatten()
+                for a in _scan(cone, cone.gates, PRUNED_AMPLITUDES))
+    _check_drift(norms, 0, n, "state norm")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from qformula import (
     validate,
     variable,
 )
-from qformula.gates import CNOT, X
+from qformula import gates
+from qformula.gates import CNOT, X, random_unitary, unitary_deviation
 
 
 def test_single_x_gate_circuit_is_valid():
@@ -38,6 +39,18 @@ def test_non_unitary_matrix_is_reported():
 def test_overflowing_matrix_is_non_unitary_without_a_warning(matrix):
     c = build_circuit(1, [variable(1)], [((0,), np.array(matrix))], output_qubit=0)
     assert validate(c).violations == ("non-unitary at step 1 (deviation inf)",)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 8, 64, 128])
+def test_unitary_deviation_matches_the_unsliced_product(dim):
+    rng = np.random.default_rng(dim)
+    u = random_unitary(dim, rng)
+    for matrix in (u, u + 1e-6 * rng.normal(size=(dim, dim))):
+        whole = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
+        assert abs(unitary_deviation(matrix) - whole) <= 1e-15
+    assert (dim ** 3 > gates.BLAS_SLICE_MACS) == (dim >= 64)  # 64 and 128 go as slices
+    assert unitary_deviation(np.full((dim, dim), 1e308)) == float("inf")
 
 
 def test_arity_above_bound_is_reported():

@@ -13,6 +13,7 @@ import pytest
 from qformula import (
     Gate,
     build_circuit,
+    computation_graph,
     constant,
     contract_formula,
     evaluate,
@@ -24,13 +25,12 @@ from qformula import (
     variable,
 )
 from qformula import simulator
-from qformula.gates import CNOT, H, SWAP, random_unitary
+from qformula.gates import CNOT, H, SWAP, TOFFOLI, random_unitary
 from qformula.samples import formula_example, nonformula_example, toffoli_and_circuit
 from qformula.simulator import (
     SimulationError,
     _apply,
     _fused_schedule,
-    _light_cone,
     _probabilities,
     decide,
     verdict,
@@ -201,7 +201,8 @@ def fused_probabilities(circuit):
 
 def assert_schedule_invariants(circuit):
     """Blocks within the line cap; the cone keeps exactly the gates that meet it."""
-    kept = _light_cone(circuit)
+    graph_steps = computation_graph(circuit).gate_steps  # the light cone
+    kept = [g for g in circuit.gates if g.step in graph_steps]
     assert [g.step for g in kept] == sorted(g.step for g in kept)
     for gate in circuit.gates:  # kept exactly when it meets the later kept gates' cone
         cone = {circuit.output_qubit}.union(*(k.targets for k in kept if k.step > gate.step))
@@ -242,7 +243,7 @@ def test_fused_path_with_untouched_output_line():
         [((0, 1), CNOT), ((1, 2), CNOT), ((0, 2), CNOT), ((1, 0), SWAP)],
         output_qubit=3,
     )
-    assert _light_cone(c) == [] and _fused_schedule(c) == []
+    assert computation_graph(c).gate_steps == () and _fused_schedule(c) == []
     assert list(fused_probabilities(c)) == [0.0, 0.0, 1.0, 1.0]
     assert list(probability_vector(c)) == [0.0, 0.0, 1.0, 1.0]
 
@@ -271,7 +272,7 @@ def test_sliced_kernel_matches_the_unsliced_kernel(monkeypatch, cap):
     gates = [Gate(1, targets, random_unitary(2 ** len(targets), rng))
              for targets in ((0,), (5,), (2, 4), (4, 2), (0, 1), (3, 1, 5), (0, 1, 2))]
     whole = [_apply(tensor, g) for g in gates]
-    monkeypatch.setattr(simulator, "BLAS_SLICE_MACS", cap)
+    monkeypatch.setattr("qformula.gates.BLAS_SLICE_MACS", cap)
     for gate, expected in zip(gates, whole):
         assert np.max(np.abs(_apply(tensor, gate) - expected)) <= 1e-15
         buffer = tensor.copy()  # written in place, as the batched paths do
@@ -282,9 +283,97 @@ def test_sliced_kernel_keeps_every_simulator_on_the_oracle(monkeypatch):
     c = random_general(np.random.default_rng(35), 6, 4, 20)
     formula, _ = permutation_formula(np.random.default_rng(36), 8, 4)
     expected = [probability_vector(c), fused_probabilities(c), contract_formula(formula)]
-    monkeypatch.setattr(simulator, "BLAS_SLICE_MACS", 4)
+    monkeypatch.setattr("qformula.gates.BLAS_SLICE_MACS", 4)
     got = [probability_vector(c), fused_probabilities(c), contract_formula(formula)]
     assert all(np.max(np.abs(a - b)) <= 1e-15 for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["whole", "forced-slices"])
+def test_kernel_with_scratch_is_bit_identical(monkeypatch, sliced):
+    if sliced:
+        monkeypatch.setattr("qformula.gates.BLAS_SLICE_MACS", 4)
+    rng = np.random.default_rng(37)
+    tensor = rng.normal(size=[2] * 7 + [3]) + 1j * rng.normal(size=[2] * 7 + [3])
+    scratch = np.full(tensor.size + 5, np.nan, complex)  # larger than needed
+    for arity in range(1, 7):
+        targets = tuple(int(q) for q in rng.permutation(7)[:arity])
+        gate = Gate(1, targets, random_unitary(2 ** arity, rng))
+        expected = _apply(tensor, gate)
+        assert np.array_equal(_apply(tensor, gate, scratch=scratch), expected)
+        buffer = tensor.copy()
+        assert np.array_equal(_apply(buffer, gate, buffer, scratch), expected)
+
+
+def counted_batches(monkeypatch):
+    """Count the batches the state vectors run, one ``_evolve`` call each."""
+    calls = []
+    real = simulator._evolve
+
+    def counting(circuit, gates, lo, hi, *args):
+        calls.append(hi - lo)
+        return real(circuit, gates, lo, hi, *args)
+
+    monkeypatch.setattr(simulator, "_evolve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [41, 39], ids=["cone-is-every-line", "cone-is-7-lines"])
+@pytest.mark.parametrize("per_batch", [1, 4, 2 ** 5], ids=["one", "several", "single-batch"])
+def test_pruned_path_matches_the_oracle_at_every_batch_size(monkeypatch, seed, per_batch):
+    c = random_general(np.random.default_rng(seed), 8, 5, 30)
+    expected = probability_vector(c)
+    blocks = _fused_schedule(c)
+    lines = {q for b in blocks for q in b.targets} | {c.output_qubit}
+    scanned = 2 ** len({c.labels[q].var for q in lines} - {None})
+    calls = counted_batches(monkeypatch)
+    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", per_batch << len(lines))
+    assert np.max(np.abs(_probabilities(c, blocks) - expected)) <= TOL
+    assert calls == [min(per_batch, scanned)] * max(1, scanned // per_batch)
+
+
+def cone_with_idle_line():
+    """``nonformula_example`` on lines 1-4, its variables renamed x1 and
+    x3; x2 sits on line 0, which only a gate outside the cone touches,
+    and on the idle line 6."""
+    labels = [variable(2), variable(1), variable(3), constant(0), variable(1), constant(0),
+              variable(2)]
+    return build_circuit(
+        7, labels,
+        [((0, 5), CNOT), ((2, 3, 4), TOFFOLI), ((1, 2), CNOT), ((2, 3), CNOT), ((3, 4), SWAP),
+         ((5,), H)],
+        output_qubit=4, arity_bound=3,
+    )
+
+
+def test_pruned_path_scans_only_the_cone_variables(monkeypatch):
+    c = cone_with_idle_line()
+    assert not is_formula(c)
+    assert computation_graph(c).gate_steps == (2, 3, 4, 5)
+    p = probability_vector(c)
+    assert np.max(np.abs(fused_probabilities(c) - p)) <= TOL
+    assert np.array_equal(p.reshape(2, 2, 2)[:, 0], p.reshape(2, 2, 2)[:, 1])  # not on x2
+    calls = counted_batches(monkeypatch)
+    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", 2 ** 4)  # one assignment per batch
+    table = (p > 0.5).astype(int)
+    for bits in (table, 1 - table):
+        calls.clear()
+        got = evaluate(c, bits)
+        assert (got.status, got.alpha) == scan_verdict(c, bits)[:2]
+        assert calls == [1] * 4  # over x1 and x3, not 8 over x1, x2 and x3
+    calls.clear()
+    probability_vector(c)
+    assert sum(calls) == 8
+
+
+def test_pruned_path_names_the_first_drifting_assignment_in_full_scan_order():
+    c = cone_with_idle_line()
+    # shrinks when line 1 is 1, i.e. x1 = 1: the first such assignment is 100,
+    # though it is scan index 2 (binary 10) over the cone's x1, x3
+    _force_matrix(c, 2, CNOT @ np.diag([1, 1, 0.5, 0.5]))
+    assert any(b.targets == (1, 2, 3, 4) for b in _fused_schedule(c))
+    for simulate in (fused_probabilities, probability_vector, lambda c: evaluate(c, [0] * 8)):
+        with pytest.raises(SimulationError, match="state norm drifted .* at assignment 100"):
+            simulate(c)
 
 
 # ---------------------------------------------------------------------------

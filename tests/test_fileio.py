@@ -332,9 +332,21 @@ def test_partition_round_trip(tmp_path):
 @pytest.mark.parametrize("n", [0, 1, 3, 10])
 def test_truth_table_text_equals_one_character_per_bit(tmp_path, n):
     rng = np.random.default_rng(n)
-    # any nonzero entry is written as 1
-    bits = rng.integers(0, 3, size=2 ** n)
+    bits = rng.integers(0, 2, size=2 ** n)
     path = tmp_path / "t.tt"
     write_truth_table(n, bits, path)
-    text = "".join("1" if b else "0" for b in bits.astype(np.uint8))
+    text = "".join("1" if b else "0" for b in bits)
     assert path.read_bytes() == f"{n}\n{text}\n".encode()
+    write_truth_table(n, bits.astype(bool), path)  # booleans are bits too
+    assert path.read_bytes() == f"{n}\n{text}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "bits, first",
+    [([256, 1], "entry 0 is 256"), ([2, 0], "entry 0 is 2"), ([-1, 1], "entry 0 is -1")],
+)
+def test_truth_table_writer_rejects_entries_other_than_0_and_1(tmp_path, bits, first):
+    path = tmp_path / "t.tt"
+    with pytest.raises(ValueError, match=first):
+        write_truth_table(1, bits, path)
+    assert not path.exists()

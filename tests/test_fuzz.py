@@ -29,6 +29,7 @@ from qformula import (
     FormatError,
     InvalidCircuitError,
     build_circuit,
+    computation_graph,
     constant,
     contract_formula,
     evaluate,
@@ -45,7 +46,6 @@ from qformula.samples import formula_example, nonformula_example, two_path_examp
 from qformula.simulator import (
     FUSED_LINES,
     _fused_schedule,
-    _light_cone,
     _probabilities,
     initial_state,
     probability_vector,
@@ -193,7 +193,8 @@ def test_fuzz_general_circuits_agree_across_simulators(circuit, data):
     assert np.max(np.abs(probability_vector(circuit) - by_run)) <= TOL
     with mock.patch.object(simulator, "CHUNK_AMPLITUDES", 4):  # several batches
         assert np.max(np.abs(probability_vector(circuit) - by_run)) <= TOL
-    kept = _light_cone(circuit)
+    graph_steps = computation_graph(circuit).gate_steps  # the light cone
+    kept = [g for g in circuit.gates if g.step in graph_steps]
     for gate in circuit.gates:  # kept exactly when it meets the later kept gates' cone
         cone = {circuit.output_qubit}.union(*(k.targets for k in kept if k.step > gate.step))
         assert any(gate is k for k in kept) != cone.isdisjoint(gate.targets)
