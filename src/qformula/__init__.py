@@ -38,7 +38,6 @@ from .simulator import (
     to_unitary,
 )
 from .analysis import (
-    CompanionPartition,
     CompanionSet,
     ComputationGraph,
     NotAFormulaError,
@@ -47,7 +46,6 @@ from .analysis import (
     PathSet,
     StructuralError,
     companion_set_of_path,
-    companions,
     computation_graph,
     has_unique_paths,
     intersection_gates,

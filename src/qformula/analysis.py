@@ -374,27 +374,6 @@ def path_segments(circuit: Circuit, pathset: PathSet) -> tuple[PathSegment, ...]
 # companions
 
 
-@dataclass(frozen=True)
-class CompanionPartition:
-    """Qubit partition under the companion relation at one step."""
-
-    step: int
-    representative: tuple[int, ...]
-
-    def class_of(self, q: int) -> frozenset[int]:
-        rep = self.representative[q]
-        return frozenset(i for i, r in enumerate(self.representative) if r == rep)
-
-    def are_companions(self, q1: int, q2: int) -> bool:
-        return self.representative[q1] == self.representative[q2]
-
-    def classes(self) -> tuple[frozenset[int], ...]:
-        by_rep: dict[int, set[int]] = {}
-        for q, rep in enumerate(self.representative):
-            by_rep.setdefault(rep, set()).add(q)
-        return tuple(frozenset(c) for _, c in sorted(by_rep.items()))
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -409,22 +388,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
-
-    def canonical(self, n: int) -> tuple[int, ...]:
-        return tuple(self.find(q) for q in range(n))
-
-
-def companions(circuit: Circuit, step: int) -> CompanionPartition:
-    """Transitive closure of gate-sharing over the gates at steps <= step."""
-    if not (0 <= step <= len(circuit.gates)):
-        raise ValueError(f"step {step} outside 0..{len(circuit.gates)}")
-    uf = _UnionFind(circuit.num_qubits)
-    for gate in circuit.gates:
-        if gate.step <= step:
-            first = gate.targets[0]
-            for q in gate.targets[1:]:
-                uf.union(first, q)
-    return CompanionPartition(step=step, representative=uf.canonical(circuit.num_qubits))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,11 @@
 """Verified circuit transformations.
 
-Four rewrites, each preserving acceptance probabilities:
+Three rewrites, each preserving acceptance probabilities:
 
 * ``restrict`` pins every variable outside a block to a constant,
   producing the circuit of a subfunction.
 * ``decompose_disjoint`` splits a subcircuit whose gates act on two
   disjoint qubit sets into two independently composable halves.
-* ``postpone`` moves the gates hanging off a chain's partner lines to
-  after the chain, when they never touch the chain's own line.
 * ``squeeze_all`` compresses every squeezable segment of a formula's
   block paths: the segment's gates, the preparation of its constant
   companion lines, and the junk gates on already-consumed lines are
@@ -16,6 +14,12 @@ Four rewrites, each preserving acceptance probabilities:
   circuit.  Acceptance probabilities agree with the original within
   1e-9 for every block assignment, which ``verify_squeeze`` checks by
   exhaustive simulation.
+
+``postpone`` is the rule that sorts a segment's window into companion
+preparation and junk: a gate on a line the path has already consumed
+moves behind the segment, so squeezing can drop it.  ``squeeze_path``
+runs it, and the lemma sweep ``verification.sweep_postponement``
+checks it.
 
 The composite gate realizes the segment's action in an orthonormal
 basis of the at-most-16 states the companion register can reach; the
@@ -129,85 +133,6 @@ def decompose_disjoint(
 
 
 # ---------------------------------------------------------------------------
-# gate postponement
-
-
-def postpone(circuit: Circuit, q: int, r_list: Sequence[int]) -> Circuit:
-    """Move the gates trailing each partner line r_j behind the chain on q.
-
-    The chain is the gates touching ``q``; the j-th must act on exactly
-    ``{q, r_list[j]}``.  Gates inside the chain's window that act on the
-    forward cone of an already-consumed partner are relocated directly
-    after the chain's last gate, preserving their relative order.  The
-    move is rejected if a cone gate would feed the chain again (touching
-    q, or a partner line before its own chain gate executes).
-    """
-    circuit.check()
-    r_list = tuple(int(r) for r in r_list)
-    chain = [g for g in sorted(circuit.gates, key=lambda g: g.step) if q in g.targets]
-    if len(chain) != len(r_list):
-        raise StructuralError(
-            f"{len(chain)} gates act on qubit {q}, but {len(r_list)} partners were given"
-        )
-    for gate, r in zip(chain, r_list):
-        if set(gate.targets) != {q, r}:
-            raise StructuralError(
-                f"gate at step {gate.step} acts on {gate.targets}, expected ({q}, {r})"
-            )
-    if len(chain) <= 1:
-        return circuit
-
-    last_step = chain[-1].step
-    partner_of = {g.step: r for g, r in zip(chain, r_list)}
-    pending = {r: g.step for g, r in zip(chain, r_list)}  # partner -> its chain step
-    cone: set[int] = set()
-    movable: list[Gate] = []
-    movable_steps: set[int] = set()
-    for gate in sorted(circuit.gates, key=lambda g: g.step):
-        if not (chain[0].step <= gate.step <= last_step):
-            continue
-        targets = set(gate.targets)
-        if q in targets:
-            r = partner_of[gate.step]
-            if r in cone:
-                raise StructuralError(
-                    f"partner line {r} is entangled with an earlier partner's cone "
-                    f"before its chain gate at step {gate.step}"
-                )
-            pending.pop(r, None)
-            cone.add(r)
-            continue
-        if targets & cone:
-            late = targets & set(pending)
-            if late:
-                raise StructuralError(
-                    f"gate at step {gate.step} links a consumed line to the future "
-                    f"partner(s) {sorted(late)}"
-                )
-            movable.append(gate)
-            movable_steps.add(gate.step)
-            cone |= targets
-
-    reordered = (
-        [g for g in sorted(circuit.gates, key=lambda g: g.step)
-         if g.step <= last_step and g.step not in movable_steps]
-        + movable
-        + [g for g in sorted(circuit.gates, key=lambda g: g.step) if g.step > last_step]
-    )
-    gates = tuple(
-        Gate(step=i + 1, targets=g.targets, matrix=g.matrix)
-        for i, g in enumerate(reordered)
-    )
-    return Circuit(
-        num_qubits=circuit.num_qubits,
-        labels=circuit.labels,
-        gates=gates,
-        output_qubit=circuit.output_qubit,
-        arity_bound=circuit.arity_bound,
-    )
-
-
-# ---------------------------------------------------------------------------
 # path squeezing
 
 
@@ -219,9 +144,11 @@ class SqueezeRecord:
     by running the companion preparation plus the segment's inner gates
     from head inputs |a0>|a1>, decomposed on the two head lines.
     ``basis`` spans those 16 vectors (rank 1..16) and ``coefficients``
-    holds their expansion, indexed [a0, a1, c0, c1, j].  ``postponed``
-    are the steps of gates on already-consumed lines inside the window;
-    they cannot change any outcome norm and are dropped by the rewrite.
+    holds their expansion, indexed [a0, a1, c0, c1, j].  ``prep_steps``
+    and ``postponed_steps`` are the steps of the two gate lists that
+    ``postpone`` returns: the postponed gates touch no line the segment
+    still needs, move behind it, and are dropped by the rewrite together
+    with the companion lines.
     """
 
     segment: PathSegment
@@ -240,19 +167,29 @@ class SqueezeRecord:
         return len(self.companion_order)
 
 
-def _classify_window_gates(
-    circuit: Circuit, segment: PathSegment, cs: CompanionSet
+def postpone(
+    circuit: Circuit, segment: PathSegment, companions: CompanionSet
 ) -> tuple[list[Gate], list[Gate]]:
-    """Split non-segment gates before the terminator into preparation
-    gates (feeding companion lines not yet consumed) and postponable
-    junk.
+    """The postponement rule: split the non-segment gates before the
+    segment's terminator into preparation gates and postponed gates.
 
-    A line is tainted once the path consumes it or a postponed gate
-    touches it; any later gate on a tainted line is postponed as well,
-    and must not reach a line the path still has to consume (its effect
-    would then flow back into the path, which the record cannot
-    represent).
+    A line is tainted once the path consumes it (a non-carrier input of
+    an inner hop) or a postponed gate touches it.  A gate on a tainted
+    line is postponed: it touches neither the carrier nor a line the path
+    has yet to consume, so it moves behind the segment's last gate without
+    changing the circuit's operator, which
+    ``verification.sweep_postponement`` checks.
+    The other gates on the companion lines prepare them.  Gates before
+    the segment on its two head lines are neither: their effect reaches
+    the record through its basis inputs.
+
+    Raises StructuralError when a gate touches the carrier inside the
+    segment, links a companion line to a line outside the companions, or
+    links a tainted line to one the path still has to consume (its
+    effect would flow back into the path, which the record cannot
+    represent).  Both lists are in step order.
     """
+    cs = companions
     inner = segment.inner_hops
     segment_steps = {h.step for h in segment.hops}
     consumed_at = {h.step: set(h.gate.targets) - {cs.q0} for h in inner}
@@ -280,9 +217,7 @@ def _classify_window_gates(
                 f"gate at step {gate.step} links companion lines to {sorted(targets - pool)}"
             )
         if targets & tainted:
-            future = set().union(
-                *(consumed_at[h.step] for h in inner if h.step > gate.step)
-            ) - tainted
+            future = set().union(*(consumed_at[h.step] for h in inner if h.step > gate.step))
             if targets & future:
                 raise StructuralError(
                     f"gate at step {gate.step} links a consumed line to the future "
@@ -319,7 +254,7 @@ def squeeze_path(
     for c in cs.qubits:
         if circuit.labels[c].is_variable:
             raise StructuralError(f"companion line {c} is not a constant input")
-    preps, postponed = _classify_window_gates(circuit, segment, cs)
+    preps, postponed = postpone(circuit, segment, cs)
 
     order = tuple(sorted(cs.qubits))
     v = len(order)

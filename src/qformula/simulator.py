@@ -32,9 +32,10 @@ leading qubit axes of a tensor and leaves any trailing batch axes alone:
   entries for a k-qubit gate, whatever the line count; a batch keeps at
   most ``CHUNK_AMPLITUDES`` entries at once.
 
-Both state vectors are capped at ``max_qubits`` lines.  The kernel's
-products go through ``gates.capped_matmul``, which hands BLAS no
-product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call.
+Both state vectors are capped at ``max_qubits`` lines: the step-order
+one counts all of the circuit's lines, the pruned one its cone's.  The
+kernel's products go through ``gates.capped_matmul``, which hands BLAS
+no product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call.
 
 ``evaluate`` dispatches on ``is_formula``: formulas take the
 contraction, everything else the pruned, fused state vector.  Either
@@ -324,11 +325,14 @@ def _fuse(gates: list[Gate]) -> Gate:
     return Gate(gates[-1].step, tuple(lines), matrix)
 
 
-def _probabilities(circuit: Circuit, gates) -> np.ndarray:
+def _probabilities(
+    circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
+) -> np.ndarray:
     """p1 of every assignment after ``gates``, a schedule of the output
     line's light cone, on the cone's lines only: the others never change
     and never reach the output, so only the variables on cone lines are
-    scanned, and p is broadcast over the rest in scan order."""
+    scanned, and p is broadcast over the rest in scan order.  The cap
+    applies to the cone's lines."""
     lines = sorted({circuit.output_qubit}.union(*(g.targets for g in gates)))
     local = {q: i for i, q in enumerate(lines)}
     labels = [circuit.labels[q] for q in lines]
@@ -337,6 +341,7 @@ def _probabilities(circuit: Circuit, gates) -> np.ndarray:
                                 for lb in labels],
                    [Gate(g.step, tuple(local[q] for q in g.targets), g.matrix) for g in gates],
                    local[circuit.output_qubit])
+    _require_cap(cone, max_qubits)
     n = circuit.num_variables
     shape = [2 if j in scanned else 1 for j in range(1, n + 1)]
     p, norms = (np.broadcast_to(a.reshape(shape), (2,) * n).flatten()
@@ -511,7 +516,7 @@ def evaluate(
     The table is indexed with x1 as the most significant bit; the first
     failing assignment in that order is reported.  Formulas go through
     ``contract_formula``, which has no line cap; other circuits through
-    the pruned, fused state vector, capped at ``max_qubits`` lines.  An
+    the pruned, fused state vector, capped at ``max_qubits`` cone lines.  An
     assignment whose p lands within 1e-12 of a threshold is re-decided
     by ``run`` (when the circuit fits under ``max_qubits``), so the
     verdict is the step-order state vector's.
@@ -526,8 +531,7 @@ def evaluate(
     if is_formula(circuit):
         p = contract_formula(circuit)
     else:
-        _require_cap(circuit, max_qubits)
-        p = _probabilities(circuit, _fused_schedule(circuit))
+        p = _probabilities(circuit, _fused_schedule(circuit), max_qubits)
     if circuit.num_qubits <= max_qubits:
         near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
         for idx in np.flatnonzero(near):

@@ -422,12 +422,30 @@ def test_formula_past_the_line_cap_evaluates_by_contraction():
         probability_vector(c)
 
 
-def test_non_formula_keeps_the_line_cap():
+def test_non_formula_keeps_the_line_cap_on_its_cone():
+    # a CNOT ladder carries line 2 to line 20: the cone holds all 21 lines
+    ladder = [((q, q + 1), CNOT) for q in range(2, 20)]
+    c = build_circuit(21, [variable(1)] + [constant(0)] * 20,
+                      [((0, 1), CNOT), ((0, 2), CNOT), ((1, 2), SWAP)] + ladder, output_qubit=20)
+    assert not is_formula(c)
+    assert len(computation_graph(c).gate_steps) == len(c.gates)
+    with pytest.raises(SimulationError, match="21 qubits exceeds the simulation cap 20"):
+        evaluate(c, [0, 1])
+
+
+def test_non_formula_past_the_line_cap_with_a_small_cone_evaluates():
+    # lines 3..20 are idle: the cone holds lines 0-2 only
     c = build_circuit(21, [variable(1)] + [constant(0)] * 20,
                       [((0, 1), CNOT), ((0, 2), CNOT), ((1, 2), SWAP)], output_qubit=2)
     assert not is_formula(c)
+    expected = probability_vector(c, max_qubits=21)
+    assert list(expected) == [0.0, 1.0]
+    assert np.max(np.abs(fused_probabilities(c) - expected)) <= TOL
+    assert evaluate(c, [0, 1]).computes
+    got = evaluate(c, [0, 0])
+    assert (got.status, got.alpha, got.p) == ("fails", (1,), 1.0)
     with pytest.raises(SimulationError, match="cap"):
-        evaluate(c, [0, 1])
+        probability_vector(c)
 
 
 def test_decide_and_verdict_rule():
@@ -508,7 +526,8 @@ def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true
     c = rotation_nonformula(1 / 3 + true_offset)
     real = fused_probabilities(c)
     # a fused path that lands on the other side of 1/3 than run does
-    monkeypatch.setattr(simulator, "_probabilities", lambda circuit, gates: real - 2 * true_offset)
+    monkeypatch.setattr(simulator, "_probabilities",
+                        lambda circuit, gates, max_qubits: real - 2 * true_offset)
     got = evaluate(c, [0, 1])
     assert (got.status, got.alpha) == scan_verdict(c, [0, 1])[:2]
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qformula import verification
+from qformula import CompanionSet, PathSegment, verification
+from qformula.analysis import Hop
 from qformula.circuit import Gate, build_circuit, constant
 from qformula.gates import complete_unitaries, gaussian_matrix, random_unitary
 from qformula.rewrite import decompose_disjoint, postpone
@@ -123,19 +124,33 @@ def _random_postpone_instance(rng):
                     continue
             specs.append(((partner, other), random_unitary(4, rng)))
             cone_pool.append(other)
-    circuit = build_circuit(
+    return build_circuit(
         num_qubits=width, labels=[constant(0)] * width, gate_specs=specs, output_qubit=0
     )
-    return circuit, 0, list(range(1, t + 1))
 
 
 def reference_postponement(cases, seed):
+    """Each drawn chain on line 0 read as a path segment that ends at the
+    output (line 1 its second head input, every other line a companion);
+    the gates ``postpone`` returns move behind the chain's last gate."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        circuit, q, partners = _random_postpone_instance(rng)
-        moved = postpone(circuit, q, partners)
-        gap = np.max(np.abs(to_unitary(circuit) - to_unitary(moved)))
+        circuit = _random_postpone_instance(rng)
+        chain = [g for g in circuit.gates if 0 in g.targets]
+        segment = PathSegment(0, tuple(Hop(g, 0, 0) for g in chain), ends_at_output=True)
+        companions = CompanionSet(
+            frozenset(range(2, circuit.num_qubits)), q0=0, q1=1, q2=None,
+            j0=chain[0].step, j1=len(circuit.gates) + 1,
+        )
+        _, postponed = postpone(circuit, segment, companions)
+        moved = {g.step for g in postponed}
+        stay = [g for g in circuit.gates if g.step not in moved]
+        order = ([g for g in stay if g.step <= chain[-1].step] + postponed
+                 + [g for g in stay if g.step > chain[-1].step])
+        reordered = build_circuit(circuit.num_qubits, circuit.labels,
+                                  [(g.targets, g.matrix) for g in order], 0)
+        gap = np.max(np.abs(to_unitary(circuit) - to_unitary(reordered)))
         worst = max(worst, float(gap))
     return worst
 
@@ -170,16 +185,12 @@ def test_sweep_equals_the_one_case_loop_over_many_small_chunks(monkeypatch, swee
 
 
 def test_a_broken_postponement_fails_its_sweep(monkeypatch):
-    from dataclasses import replace
+    # also postpones the chain's first gate, which touches the carrier line
+    def carrier_postpone(circuit, segment, companions):
+        preps, postponed = postpone(circuit, segment, companions)
+        return preps, [segment.hops[0].gate, *postponed]
 
-    # keeps every gate but runs them in reverse step order
-    def reversed_postpone(circuit, q, partners):
-        gates = circuit.gates[::-1]
-        return replace(circuit, gates=tuple(
-            Gate(step=i + 1, targets=g.targets, matrix=g.matrix) for i, g in enumerate(gates)
-        ))
-
-    monkeypatch.setattr(verification, "postpone", reversed_postpone)
+    monkeypatch.setattr(verification, "postpone", carrier_postpone)
     result = sweep_postponement(10, 0)
     assert not result.passed
     assert result.max_deviation > 1e-3
@@ -198,13 +209,11 @@ def test_a_broken_disjoint_split_fails_its_sweep(monkeypatch):
 
 
 def test_a_nan_deviation_fails_its_sweep(monkeypatch):
-    from dataclasses import replace
-
-    # a postponement whose first gate turned to NaN: every deviation is NaN
-    def nan_postpone(circuit, q, partners):
-        first = circuit.gates[0]
-        nan = Gate(step=first.step, targets=first.targets, matrix=np.full((4, 4), np.nan))
-        return replace(circuit, gates=(nan, *circuit.gates[1:]))
+    # also postpones the chain's first gate, turned to NaN: every deviation is NaN
+    def nan_postpone(circuit, segment, companions):
+        preps, postponed = postpone(circuit, segment, companions)
+        first = segment.hops[0].gate
+        return preps, [Gate(first.step, first.targets, np.full((4, 4), np.nan)), *postponed]
 
     monkeypatch.setattr(verification, "postpone", nan_postpone)
     result = sweep_postponement(10, 0)
