@@ -165,6 +165,50 @@ def test_variable_companion_is_a_structural_error():
         companion_set_of_path(c, ps, segment)
 
 
+def test_companion_set_rejects_a_prepared_second_input():
+    # line 1 enters the leaf segment's first gate after a gate on (1, 2)
+    rng = np.random.default_rng(3)
+    c = build_circuit(
+        4,
+        [variable(1), constant(0), constant(0), constant(0)],
+        [((1, 2), random_unitary(4, rng)), ((0, 1), random_unitary(4, rng)),
+         ((0, 3), random_unitary(4, rng))],
+        output_qubit=0,
+    )
+    ps = path_sets(c, {1})
+    (segment,) = path_segments(c, ps)
+    assert segment.head_wire == 0 and segment.squeezable
+    with pytest.raises(StructuralError, match="line 1 is prepared by the gate at step 1"):
+        companion_set_of_path(c, ps, segment)
+
+
+def test_companion_set_rejects_a_path_that_changes_lines():
+    rng = np.random.default_rng(4)
+    # the path leaves its first gate on line 1
+    c = build_circuit(
+        3,
+        [variable(1), constant(0), constant(0)],
+        [((0, 1), random_unitary(4, rng)), ((1, 2), random_unitary(4, rng))],
+        output_qubit=1,
+    )
+    ps = path_sets(c, {1})
+    (segment,) = path_segments(c, ps)
+    with pytest.raises(StructuralError, match="switches lines at step 1"):
+        companion_set_of_path(c, ps, segment)
+    # the path rides line 0 into its second gate and leaves it on line 2
+    c = build_circuit(
+        4,
+        [variable(1), constant(0), constant(0), constant(0)],
+        [((0, 1), random_unitary(4, rng)), ((0, 2), random_unitary(4, rng)),
+         ((2, 3), random_unitary(4, rng))],
+        output_qubit=2,
+    )
+    ps = path_sets(c, {1})
+    (segment,) = path_segments(c, ps)
+    with pytest.raises(StructuralError, match="leaves its carrier line 0 at step 2"):
+        companion_set_of_path(c, ps, segment)
+
+
 def test_two_path_example_segments():
     c = two_path_example()
     ps = path_sets(c, {1, 2})

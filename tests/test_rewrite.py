@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,10 +151,10 @@ def _postponed_circuit(circuit, postponed):
                          [(g.targets, g.matrix) for g in order], circuit.output_qubit)
 
 
-def test_postpone_moves_trailing_gate_behind_chain():
+def _postpone_instance():
     rng = np.random.default_rng(22)
     # chain on line 0 with partners 1 and 2; the gate on (1, 3) trails partner 1
-    c = build_circuit(
+    return build_circuit(
         4,
         [constant(0)] * 4,
         [
@@ -162,11 +164,31 @@ def test_postpone_moves_trailing_gate_behind_chain():
         ],
         output_qubit=0,
     )
+
+
+def test_postpone_moves_trailing_gate_behind_chain():
+    c = _postpone_instance()
     preps, postponed = postpone(c, *_chain_window(c))
     assert preps == [] and [g.step for g in postponed] == [2]
     moved = _postponed_circuit(c, postponed)
     assert [g.targets for g in moved.gates] == [(0, 1), (0, 2), (1, 3)]
     assert np.max(np.abs(to_unitary(c) - to_unitary(moved))) <= 1e-10
+
+
+def test_postpone_single_gate_chain_is_identity():
+    rng = np.random.default_rng(23)
+    # the gate on (1, 2) trails the chain's only gate: it is postponed in place
+    c = build_circuit(
+        3,
+        [constant(0)] * 3,
+        [((0, 1), random_unitary(4, rng)), ((1, 2), random_unitary(4, rng))],
+        output_qubit=0,
+    )
+    preps, postponed = postpone(c, *_chain_window(c))
+    assert preps == [] and [g.step for g in postponed] == [2]
+    moved = _postponed_circuit(c, postponed)
+    assert [(g.targets, g.step) for g in moved.gates] == [(g.targets, g.step) for g in c.gates]
+    assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(c.gates, moved.gates))
 
 
 def test_postpone_long_chain_with_entangled_partners():
@@ -211,6 +233,20 @@ def test_postpone_rejects_feeding_a_future_partner():
     )
     with pytest.raises(StructuralError, match=r"step 2 links a consumed line .* \[2\]"):
         postpone(c, *_chain_window(c))
+
+
+def test_postpone_rejects_mismatched_partners():
+    c = _postpone_instance()
+    segment, companions = _chain_window(c)
+    # a companion set that misses line 3, which the trailing gate reaches
+    with pytest.raises(StructuralError, match=r"step 2 links companion lines to \[3\]"):
+        postpone(c, segment, replace(companions, qubits=frozenset({2})))
+    # partners in the wrong order: line 2 named as the second head input
+    with pytest.raises(StructuralError, match=r"step 2 links companion lines to \[1\]"):
+        postpone(c, segment, replace(companions, q1=2))
+    # a segment without the chain's second gate, which then touches the carrier
+    with pytest.raises(StructuralError, match="step 3 touches the carrier line"):
+        postpone(c, replace(segment, hops=segment.hops[:1]), companions)
 
 
 def test_postpone_rejects_a_gate_between_two_visits_of_a_line():
