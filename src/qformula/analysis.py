@@ -6,6 +6,12 @@ to".  A circuit is a formula when that graph is a tree; equivalently,
 every input line has at most one gate-level path to the output.  Both
 tests are implemented independently and cross-checked.
 
+``computation_graph`` is the one pass that derives a circuit's wiring:
+the line maps, the graph, each node's up-lines and each line's path
+count.  It runs once per checked circuit and keeps its result on the
+circuit; the formula tests, the path walk, the squeezing pass and the
+simulators all read that one object.
+
 For a variable block, the paths from the block's input lines to the
 output form a subtree.  The gates where two of those paths first merge
 split every path into maximal segments: a segment starts at an input
@@ -21,7 +27,7 @@ besides its two head inputs; those are the lines the rewrite replaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .circuit import Circuit, CircuitError, Gate
@@ -40,15 +46,11 @@ class InconsistentAnalysisError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# line connectivity
-
-
-def _gates_by_step(circuit: Circuit) -> list[Gate]:
-    return sorted(circuit.gates, key=lambda g: g.step)
+# the wiring pass: line maps, computation graph, path counts
 
 
 def _line_maps(circuit: Circuit):
-    """Wire connectivity: previous/next gate step per (gate, line).
+    """Wire connectivity of a checked circuit, whose gates are in step order.
 
     Returns (prev_on, next_on, first_on, last_on) where prev_on and
     next_on map (step, qubit) to the neighboring gate step on that line
@@ -59,100 +61,111 @@ def _line_maps(circuit: Circuit):
     next_on: dict[tuple[int, int], int | None] = {}
     first_on: dict[int, int | None] = {q: None for q in range(circuit.num_qubits)}
     last_on: dict[int, int | None] = {q: None for q in range(circuit.num_qubits)}
-    for gate in _gates_by_step(circuit):
+    for gate in circuit.gates:
         for q in gate.targets:
             prev_on[(gate.step, q)] = last_on[q]
+            next_on[(gate.step, q)] = None
             if last_on[q] is not None:
                 next_on[(last_on[q], q)] = gate.step
             if first_on[q] is None:
                 first_on[q] = gate.step
             last_on[q] = gate.step
-    for gate in circuit.gates:
-        for q in gate.targets:
-            next_on.setdefault((gate.step, q), None)
     return prev_on, next_on, first_on, last_on
 
 
-# ---------------------------------------------------------------------------
-# computation graph and the two formula tests
+def _path_counts(circuit: Circuit, next_on, first_on) -> dict[int, int]:
+    """Number of gate-level paths from each input line to the output.
+
+    A path follows wires forward through gates and counts distinct gate
+    sequences that end on the output line after its last gate.  This is
+    the unique-path formula test; it shares only the line maps with the
+    tree test.
+    """
+    count: dict[int, int] = {}
+    for gate in reversed(circuit.gates):
+        successors = {next_on[(gate.step, q)] for q in gate.targets} - {None}
+        total = sum(count[succ] for succ in successors)
+        if circuit.output_qubit in gate.targets and next_on[(gate.step, circuit.output_qubit)] is None:
+            total += 1
+        count[gate.step] = total
+    return {
+        q: count[first_on[q]] if first_on[q] is not None else int(q == circuit.output_qubit)
+        for q in range(circuit.num_qubits)
+    }
 
 
 @dataclass(frozen=True)
 class ComputationGraph:
-    """Gates feeding the output, with deduplicated provider edges."""
+    """A checked circuit's wiring, derived once by ``computation_graph``.
+
+    The graph proper (``gate_steps``, ``edges``, ``root_step``) is the
+    gates feeding the output with deduplicated provider edges; it alone
+    decides equality, hash and repr.  The other fields are the wiring the
+    analyses and simulators read: the line maps (``prev_on``,
+    ``next_on``, ``first_on``, as ``_line_maps`` returns them), each
+    node's ``up_lines`` (the lines it hands to later nodes; the root's is
+    the output line) and each input line's ``path_counts``.
+    """
 
     gate_steps: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     root_step: int | None
+    prev_on: dict[tuple[int, int], int | None] = field(compare=False, repr=False)
+    next_on: dict[tuple[int, int], int | None] = field(compare=False, repr=False)
+    first_on: dict[int, int | None] = field(compare=False, repr=False)
+    up_lines: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
+    path_counts: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def is_tree(self) -> bool:
         # connected by construction (every node reaches the root), so
         # tree-ness reduces to the edge count
-        if not self.gate_steps:
-            return True
-        return len(self.edges) == len(self.gate_steps) - 1
+        return not self.gate_steps or len(self.edges) == len(self.gate_steps) - 1
 
 
 def computation_graph(circuit: Circuit) -> ComputationGraph:
-    """Backward closure from the gate that provides the output qubit.
+    """The one wiring pass: backward closure from the gate that provides
+    the output qubit, with the line maps, up-lines and path counts.
 
-    When no gate touches the output line the graph is the bare output
-    wire: no gate nodes, no root.
+    Checks the circuit first.  The circuit is immutable, so the result is
+    kept on it, as ``check()`` keeps its verdict, and later calls return
+    the same object.  When no gate touches the output line the graph is
+    the bare output wire: no gate nodes, no root.
     """
+    graph = circuit.__dict__.get("_graph")
+    if graph is not None:
+        return graph
     circuit.check()
-    prev_on, _, _, last_on = _line_maps(circuit)
-    by_step = {g.step: g for g in circuit.gates}
+    prev_on, next_on, first_on, last_on = _line_maps(circuit)
     root = last_on[circuit.output_qubit]
-    if root is None:
-        return ComputationGraph((), frozenset(), None)
-    nodes: set[int] = set()
+    nodes: set[int] = {root} - {None}
     edges: set[tuple[int, int]] = set()
-    stack = [root]
-    while stack:
-        step = stack.pop()
-        if step in nodes:
-            continue
-        nodes.add(step)
-        for q in by_step[step].targets:
-            provider = prev_on[(step, q)]
-            if provider is not None:
-                edges.add((provider, step))
-                stack.append(provider)
-    return ComputationGraph(tuple(sorted(nodes)), frozenset(edges), root)
-
-
-def _paths_to_output(circuit: Circuit) -> dict[int, int]:
-    """Number of gate-level paths from each input line to the output.
-
-    A path follows wires forward through gates and counts distinct gate
-    sequences that end on the output line after its last gate.  This is
-    the unique-path formula test, independent of the tree test.
-    """
-    _, next_on, first_on, _ = _line_maps(circuit)
-    gates = _gates_by_step(circuit)
-    count: dict[int, int] = {}
-    for gate in reversed(gates):
-        total = 0
-        successors = {next_on[(gate.step, q)] for q in gate.targets}
-        for succ in successors:
-            if succ is not None:
-                total += count[succ]
-        if circuit.output_qubit in gate.targets and next_on[(gate.step, circuit.output_qubit)] is None:
-            total += 1
-        count[gate.step] = total
-    wire_counts: dict[int, int] = {}
-    for q in range(circuit.num_qubits):
-        if first_on[q] is not None:
-            wire_counts[q] = count[first_on[q]]
-        else:
-            wire_counts[q] = 1 if q == circuit.output_qubit else 0
-    return wire_counts
+    for gate in reversed(circuit.gates):  # a gate's consumers come after it
+        if gate.step in nodes:
+            providers = {prev_on[(gate.step, q)] for q in gate.targets} - {None}
+            nodes |= providers
+            edges |= {(provider, gate.step) for provider in providers}
+    up_lines = {
+        step: tuple(q for q in circuit.gates[step - 1].targets if next_on[(step, q)] in nodes)
+        for step in nodes
+    }
+    if root is not None:
+        up_lines[root] = (circuit.output_qubit,)
+    graph = ComputationGraph(
+        tuple(sorted(nodes)), frozenset(edges), root, prev_on, next_on, first_on,
+        up_lines, _path_counts(circuit, next_on, first_on),
+    )
+    object.__setattr__(circuit, "_graph", graph)
+    return graph
 
 
 def has_unique_paths(circuit: Circuit) -> bool:
-    """True when no input line has two distinct paths to the output."""
-    return all(c <= 1 for c in _paths_to_output(circuit).values())
+    """True when no input line has two distinct paths to the output.
+
+    Reads the path counts of ``computation_graph``, so an invalid circuit
+    raises InvalidCircuitError.
+    """
+    return all(c <= 1 for c in computation_graph(circuit).path_counts.values())
 
 
 def is_formula(circuit: Circuit) -> bool:
@@ -198,10 +211,6 @@ class Path:
     def gate_steps(self) -> tuple[int, ...]:
         return tuple(h.step for h in self.hops)
 
-    @property
-    def last_step(self) -> int:
-        return self.hops[-1].step if self.hops else 0
-
 
 @dataclass(frozen=True)
 class PathSet:
@@ -227,42 +236,26 @@ def path_sets(circuit: Circuit, block: Iterable[int]) -> PathSet:
     if not is_formula(circuit):
         raise NotAFormulaError("path sets are only defined for formulas")
     block = frozenset(int(j) for j in block)
-    prev_on, next_on, first_on, last_on = _line_maps(circuit)
-    by_step = {g.step: g for g in circuit.gates}
     graph = computation_graph(circuit)
-    in_graph = set(graph.gate_steps)
-    wire_counts = _paths_to_output(circuit)
-
     wires = tuple(
         q for q, lb in enumerate(circuit.labels) if lb.var is not None and lb.var in block
     )
     paths: list[Path] = []
     dead: list[int] = []
     for q in wires:
-        if wire_counts[q] == 0:
+        if graph.path_counts[q] == 0:
             dead.append(q)
             continue
         hops: list[Hop] = []
-        step = first_on[q]
-        line = q
+        step, line = graph.first_on[q], q
         while step is not None:
-            gate = by_step[step]
-            successors = {
-                next_on[(step, t)]
-                for t in gate.targets
-                if next_on[(step, t)] is not None and next_on[(step, t)] in in_graph
-            }
-            if not successors:
-                # root gate: the path leaves on the output line
-                out_line = circuit.output_qubit
-                hops.append(Hop(gate, line, out_line))
-                break
-            parent = min(successors)  # unique in a formula
-            exit_lines = [t for t in gate.targets if next_on[(step, t)] == parent]
-            # on a double edge prefer the incoming line: keeps carriers constant
-            out_line = line if line in exit_lines else min(exit_lines)
-            hops.append(Hop(gate, line, out_line))
-            step, line = parent, out_line
+            # a formula's node hands its up-lines to one parent (the root
+            # to the output); on a double edge keep the incoming line, so
+            # carriers stay constant
+            up = graph.up_lines[step]
+            out_line = line if line in up else min(up)
+            hops.append(Hop(circuit.gates[step - 1], line, out_line))
+            step, line = graph.next_on[(step, out_line)], out_line
         paths.append(Path(wire=q, hops=tuple(hops)))
     return PathSet(block=block, wires=wires, paths=tuple(paths), dead_wires=tuple(dead))
 
@@ -483,13 +476,12 @@ def companion_set_of_path(
             )
         if q1 in targets:
             seeds.update(targets - {q1})
-    if segment.head_wire is not None:
-        for gate in circuit.gates:
-            if gate.step < j0 and q1 in gate.targets:
-                raise StructuralError(
-                    f"line {q1} is prepared by the gate at step {gate.step}; "
-                    "the segment's second input must be a bare input line"
-                )
+    prepared = computation_graph(circuit).first_on[q1]
+    if segment.head_wire is not None and prepared is not None and prepared < j0:
+        raise StructuralError(
+            f"line {q1} is prepared by the gate at step {prepared}; "
+            "the segment's second input must be a bare input line"
+        )
     seeds -= {q0, q1}
 
     uf = _UnionFind(circuit.num_qubits)

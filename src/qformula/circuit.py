@@ -124,10 +124,6 @@ class Circuit:
         return tuple(sorted({lb.var for lb in self.labels if lb.var is not None}))
 
     @property
-    def num_steps(self) -> int:
-        return len(self.gates)
-
-    @property
     def size(self) -> int:
         """Gate count plus input-wire count (every line is an input wire)."""
         return len(self.gates) + self.num_qubits
@@ -158,9 +154,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate(circuit: Circuit) -> ValidationReport:

@@ -316,16 +316,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.net:
-        spec = json.loads(Path(args.net).read_text(encoding="utf-8"))
-        entries = []
-        for item in spec:
-            flat = np.array([complex(re, im) for re, im in item["matrix"]])
-            dim = int(np.sqrt(flat.size))
-            entries.append((item["name"], flat.reshape(dim, dim)))
-        net = GateNet.of(entries)
-    else:
-        net = GateNet.default()
+    net = GateNet.of(fileio._read_net(args.net)) if args.net else GateNet.default()
     result = enumerate_functions(
         args.n, args.size, net, num_qubits=args.qubits, arity_bound=args.arity
     )

@@ -25,7 +25,9 @@ UTF-8, not JSON, nested too deep, a number too large for a float) is a
 Truth-table files are exactly two lines (trailing blank lines aside):
 the variable count n, then 2^n characters of 0/1 where the index is read
 with x1 as the most significant bit.  Partition files list one block per line as
-space-separated variable indices.
+space-separated variable indices.  Gate-net files (``qf enumerate
+--net``) are a JSON list of ``{"name": str, "matrix": [[re, im], ...]}``
+objects, each matrix 4^k entries for k >= 1, read like a gate's.
 """
 from __future__ import annotations
 
@@ -192,15 +194,36 @@ def circuit_from_json(obj) -> Circuit:
     )
 
 
-def read_circuit(path) -> Circuit:
+def _read_json(path):
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from exc
     except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _read_net(path) -> list[tuple[str, np.ndarray]]:
+    """The (name, matrix) entries of a gate-net file for ``qf enumerate``."""
+    spec = _read_json(path)
+    _require(isinstance(spec, list), f"{path}: a net file is a list of gate objects")
+    entries = []
+    for i, item in enumerate(spec):
+        where = f"{path}: net[{i}]"
+        _require(isinstance(item, dict) and item.keys() == {"name", "matrix"}
+                 and isinstance(item["name"], str) and isinstance(item["matrix"], list),
+                 f"{where}: a gate is an object with a string 'name' and a 'matrix' list")
+        arity = (len(item["matrix"]).bit_length() - 1) // 2
+        _require(arity >= 1 and len(item["matrix"]) == 4 ** arity,
+                 f"{where}: matrix has {len(item['matrix'])} entries, not 4^k for some k >= 1")
+        entries.append((item["name"], _matrix_from_json(item["matrix"], arity, where)))
+    return entries
+
+
+def read_circuit(path) -> Circuit:
+    obj = _read_json(path)
     try:
         return circuit_from_json(obj)
     except FormatError as exc:

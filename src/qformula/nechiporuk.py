@@ -54,11 +54,6 @@ class TruthTable:
         ]
         return cls(n=n, bits=np.array(bits, dtype=np.uint8))
 
-    @classmethod
-    def from_string(cls, text: str) -> "TruthTable":
-        n = int(math.log2(len(text)))
-        return cls(n=n, bits=np.array([int(c) for c in text], dtype=np.uint8))
-
     def value(self, assignment: Sequence[int]) -> int:
         idx = 0
         for b in assignment:

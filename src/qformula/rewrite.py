@@ -197,7 +197,7 @@ def postpone(
     tainted: set[int] = set()
     preps: list[Gate] = []
     postponed: list[Gate] = []
-    for gate in sorted(circuit.gates, key=lambda g: g.step):
+    for gate in circuit.gates:
         if gate.step >= cs.j1:
             break
         if gate.step in segment_steps:

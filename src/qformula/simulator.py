@@ -40,7 +40,8 @@ no product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call.
 ``evaluate`` dispatches on ``is_formula``: formulas take the
 contraction, everything else the pruned, fused state vector.  Either
 way an assignment whose p lands within 1e-12 of a threshold is
-re-decided by ``run``, so the verdict is the oracle's.  One threshold
+re-decided by ``run`` on the light cone's gates, unfused and in step
+order, on the cone's lines, so the verdict is the oracle's.  One threshold
 rule, ``decide``, turns probabilities into verdicts for ``evaluate``
 and for the counting module.  All batched paths check every
 assignment's norm (or trace) against 1 within 1e-10.  Everything here
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import NotAFormulaError, _line_maps, computation_graph, is_formula
+from .analysis import NotAFormulaError, computation_graph, is_formula
 from .circuit import Circuit, Gate, variable
 from .gates import capped_matmul
 
@@ -108,10 +109,6 @@ def _axis_orders(targets: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], 
     cached, since the kernel meets the same few on every call."""
     order = (*targets, *(a for a in range(ndim) if a not in targets))
     return order, tuple(sorted(range(ndim), key=order.__getitem__))
-
-
-def _steps(circuit: Circuit) -> list[Gate]:
-    return sorted(circuit.gates, key=lambda g: g.step)
 
 
 def _alpha(index: int, n: int) -> tuple[int, ...]:
@@ -221,7 +218,7 @@ def run(
     m = circuit.num_qubits
     buffer = initial_state(circuit, assignment)
     tensor = buffer.reshape([2] * m)
-    for gate in _steps(circuit):
+    for gate in circuit.gates:
         tensor = _apply(tensor, gate, buffer)
     state = tensor.reshape(-1)
     norm = float(np.linalg.norm(state))
@@ -253,7 +250,7 @@ def final_states(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
     hi - lo.  Gates run in step order; the circuit is not re-checked and
     the caller sizes the batch.
     """
-    return _evolve(circuit, _steps(circuit), lo, hi)
+    return _evolve(circuit, circuit.gates, lo, hi)
 
 
 def _scan(circuit: Circuit, gates, budget: int):
@@ -280,7 +277,7 @@ def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS
     """
     _require_cap(circuit, max_qubits)
     circuit.check()
-    p, norms = _scan(circuit, _steps(circuit), CHUNK_AMPLITUDES)
+    p, norms = _scan(circuit, circuit.gates, CHUNK_AMPLITUDES)
     _check_drift(norms, 0, circuit.num_variables, "state norm")
     return p
 
@@ -300,8 +297,7 @@ def _fused_schedule(circuit: Circuit) -> list[Gate]:
     """
     closed: list[list[Gate]] = []
     open_blocks: list[tuple[set[int], list[Gate]]] = []
-    by_step = {g.step: g for g in circuit.gates}
-    for gate in (by_step[step] for step in computation_graph(circuit).gate_steps):
+    for gate in (circuit.gates[step - 1] for step in computation_graph(circuit).gate_steps):
         met = [b for b in open_blocks if not b[0].isdisjoint(gate.targets)]
         open_blocks = [b for b in open_blocks if b[0].isdisjoint(gate.targets)]
         lines = set(gate.targets).union(*(b[0] for b in met))
@@ -325,14 +321,11 @@ def _fuse(gates: list[Gate]) -> Gate:
     return Gate(gates[-1].step, tuple(lines), matrix)
 
 
-def _probabilities(
-    circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
-    """p1 of every assignment after ``gates``, a schedule of the output
-    line's light cone, on the cone's lines only: the others never change
-    and never reach the output, so only the variables on cone lines are
-    scanned, and p is broadcast over the rest in scan order.  The cap
-    applies to the cone's lines."""
+def _cone(circuit: Circuit, gates) -> tuple[Circuit, list[int]]:
+    """``gates``, a schedule of the output line's light cone, as a circuit
+    on the cone's lines only, and the variables it scans: its x_i is the
+    circuit's x_scanned[i-1].  The other lines never change and never
+    reach the output, so they are left out."""
     lines = sorted({circuit.output_qubit}.union(*(g.targets for g in gates)))
     local = {q: i for i, q in enumerate(lines)}
     labels = [circuit.labels[q] for q in lines]
@@ -341,6 +334,17 @@ def _probabilities(
                                 for lb in labels],
                    [Gate(g.step, tuple(local[q] for q in g.targets), g.matrix) for g in gates],
                    local[circuit.output_qubit])
+    return cone, scanned
+
+
+def _probabilities(
+    circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
+) -> np.ndarray:
+    """p1 of every assignment after ``gates``, a schedule of the output
+    line's light cone, on the cone's lines only: only the variables on
+    cone lines are scanned, and p is broadcast over the rest in scan
+    order.  The cap applies to the cone's lines."""
+    cone, scanned = _cone(circuit, gates)
     _require_cap(cone, max_qubits)
     n = circuit.num_variables
     shape = [2 if j in scanned else 1 for j in range(1, n + 1)]
@@ -380,19 +384,10 @@ def _schedule(circuit: Circuit) -> tuple[_Node, ...]:
     graph = computation_graph(circuit)
     if not graph.is_tree:
         raise NotAFormulaError("the tree contraction needs a formula")
-    prev_on, next_on, _, _ = _line_maps(circuit)
-    by_step = {g.step: g for g in circuit.gates}
-    parent = dict(graph.edges)
     position = {step: i for i, step in enumerate(graph.gate_steps)}
-
-    def up_lines(step: int) -> tuple[int, ...]:
-        if step == graph.root_step:
-            return (circuit.output_qubit,)
-        return tuple(q for q in by_step[step].targets if next_on[(step, q)] == parent[step])
-
     nodes = []
     for step in graph.gate_steps:
-        gate = by_step[step]
+        gate = circuit.gates[step - 1]
         k = gate.arity
         row = {q: _EINSUM_AXES[i] for i, q in enumerate(gate.targets)}
         col = {q: _EINSUM_AXES[k + i] for i, q in enumerate(gate.targets)}
@@ -400,12 +395,12 @@ def _schedule(circuit: Circuit) -> tuple[_Node, ...]:
         def axes(lines):  # a density matrix on these lines, then the batch
             return "".join(row[q] for q in lines) + "".join(col[q] for q in lines) + "..."
 
-        providers = [prev_on[(step, q)] for q in gate.targets]
+        providers = [graph.prev_on[(step, q)] for q in gate.targets]
         children = list(dict.fromkeys(position[p] for p in providers if p is not None))
         bare = [q for q, p in zip(gate.targets, providers) if p is None]
-        operands = [axes(up_lines(graph.gate_steps[c])) for c in children]
+        operands = [axes(graph.up_lines[graph.gate_steps[c]]) for c in children]
         operands += [f"{side[q]}..." for q in bare for side in (row, col)]
-        up = up_lines(step)
+        up = graph.up_lines[step]
         traced = "".join(row.values()) + "".join((col if q in up else row)[q] for q in gate.targets)
         nodes.append(_Node(
             children=tuple(children),
@@ -518,8 +513,9 @@ def evaluate(
     ``contract_formula``, which has no line cap; other circuits through
     the pruned, fused state vector, capped at ``max_qubits`` cone lines.  An
     assignment whose p lands within 1e-12 of a threshold is re-decided
-    by ``run`` (when the circuit fits under ``max_qubits``), so the
-    verdict is the step-order state vector's.
+    by ``run`` on the cone circuit (the graph's gates, unfused, in step
+    order, on the cone's lines) when the cone fits under ``max_qubits``,
+    so the verdict is the step-order state vector's.
     """
     circuit.check()
     n = circuit.num_variables
@@ -532,10 +528,14 @@ def evaluate(
         p = contract_formula(circuit)
     else:
         p = _probabilities(circuit, _fused_schedule(circuit), max_qubits)
-    if circuit.num_qubits <= max_qubits:
-        near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
-        for idx in np.flatnonzero(near):
-            p[idx] = run(circuit, _alpha(int(idx), n), check=False)[1].p1
+    near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
+    if near.any():
+        graph = computation_graph(circuit)
+        cone, scanned = _cone(circuit, [circuit.gates[s - 1] for s in graph.gate_steps])
+        for idx in np.flatnonzero(near) if cone.num_qubits <= max_qubits else ():
+            alpha = _alpha(int(idx), n)
+            p[idx] = run(cone, [alpha[j - 1] for j in scanned],
+                         max_qubits=max_qubits, check=False)[1].p1
     return verdict(p, bits)
 
 
@@ -554,7 +554,7 @@ def to_unitary(circuit: Circuit, *, max_qubits: int = 12) -> np.ndarray:
     m = circuit.num_qubits
     if m > max_qubits:
         raise SimulationError(f"to_unitary capped at {max_qubits} qubits, got {m}")
-    return _operator(_steps(circuit), m)
+    return _operator(circuit.gates, m)
 
 
 def embed_gate(gate: Gate, num_qubits: int) -> np.ndarray:

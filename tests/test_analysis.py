@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,16 @@ from qformula import (
     companion_set_of_path,
     computation_graph,
     constant,
+    evaluate,
     has_unique_paths,
     intersection_gates,
     is_formula,
     path_segments,
     path_sets,
+    squeeze_all,
     variable,
 )
+from qformula.circuit import InvalidCircuitError
 from qformula.gates import CNOT, H, X, random_unitary
 from qformula.samples import formula_example, nonformula_example, two_path_example
 
@@ -80,8 +85,6 @@ def test_intersection_at_final_gate_only():
 
 
 def test_more_merges_than_block_wires_is_a_structural_error():
-    from dataclasses import replace
-
     ps = path_sets(formula_example(), {1})
     with pytest.raises(StructuralError, match="merge gates"):
         intersection_gates(replace(ps, wires=()))
@@ -272,3 +275,83 @@ def test_dead_block_wire_is_reported():
     ps = path_sets(c, {1})
     assert ps.dead_wires == (0,)
     assert ps.paths == ()
+
+
+# ---------------------------------------------------------------------------
+# the one wiring pass
+
+
+def test_computation_graph_is_derived_once_and_kept():
+    c = formula_example()
+    assert computation_graph(c) is computation_graph(c)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    import qformula.analysis
+
+    calls = []
+    real = qformula.analysis._line_maps
+
+    def counting(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(qformula.analysis, "_line_maps", counting)
+    return calls
+
+
+def test_formula_analyses_and_squeezing_share_one_derivation(derivations):
+    c = two_path_example()
+    assert is_formula(c)
+    ps = path_sets(c, {1, 2})
+    path_segments(c, ps)
+    squeeze_all(c, {1, 2})
+    assert derivations == [c]
+
+
+@pytest.mark.parametrize("make", [formula_example, nonformula_example])
+def test_evaluate_derives_the_wiring_once(derivations, make):
+    c = make()
+    evaluate(c, [0, 0, 0, 0])
+    assert derivations == [c]
+
+
+def test_root_up_lines_is_the_output_line():
+    for c in (formula_example(), nonformula_example(), two_path_example()):
+        graph = computation_graph(c)
+        assert graph.up_lines[graph.root_step] == (c.output_qubit,)
+
+
+def test_path_hops_chain_through_next_on_to_the_output(corpus):
+    cases = [(m.formula, m.block) for m in corpus[:40]] + [(two_path_example(), {1, 2})]
+    for c, block in cases:
+        graph = computation_graph(c)
+        for path in path_sets(c, block).paths:
+            assert path.hops[0].in_line == path.wire
+            assert path.hops[0].step == graph.first_on[path.wire]
+            for hop, following in zip(path.hops, path.hops[1:]):
+                assert graph.next_on[(hop.step, hop.out_line)] == following.step
+                assert following.in_line == hop.out_line
+            last = path.hops[-1]
+            assert last.out_line == c.output_qubit
+            assert graph.next_on[(last.step, last.out_line)] is None
+
+
+def test_graph_equality_hash_and_repr_read_only_the_graph():
+    graph = computation_graph(formula_example())
+    other = computation_graph(formula_example())
+    assert graph is not other and graph == other and hash(graph) == hash(other)
+    bare = replace(graph, prev_on={}, next_on={}, first_on={}, up_lines={}, path_counts={})
+    assert bare == graph and hash(bare) == hash(graph) and repr(bare) == repr(graph)
+    assert repr(graph) == (
+        f"ComputationGraph(gate_steps={graph.gate_steps!r}, edges={graph.edges!r}, "
+        f"root_step={graph.root_step!r})"
+    )
+    assert replace(graph, root_step=None) != graph
+
+
+def test_has_unique_paths_rejects_an_invalid_circuit():
+    c = build_circuit(2, [variable(1), constant(0)], [((0, 2), CNOT)], output_qubit=1)
+    with pytest.raises(InvalidCircuitError, match="out of range"):
+        has_unique_paths(c)

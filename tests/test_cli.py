@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,51 @@ def test_enumerate_with_net_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 2
+
+
+IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([{"name": "X"}], "string 'name' and a 'matrix' list"),
+        ({"name": "X", "matrix": IDENTITY}, "list of gate objects"),
+        (["X"], "string 'name' and a 'matrix' list"),
+        ([{"name": 1, "matrix": IDENTITY}], "string 'name'"),
+        ([{"name": "I", "matrix": "1 0 0 1"}], "'matrix' list"),
+        ([{"name": "I", "matrix": IDENTITY, "arity": 1}], "string 'name' and a 'matrix' list"),
+        ([{"name": "I", "matrix": IDENTITY[:3]}], "3 entries, not 4\\^k"),
+        ([{"name": "I", "matrix": [[1, 0]]}], "1 entries, not 4\\^k"),
+        ([{"name": "I", "matrix": []}], "0 entries, not 4\\^k"),
+        ([{"name": "I", "matrix": IDENTITY * 2}], "8 entries, not 4\\^k"),
+        ([{"name": "I", "matrix": [[1, 0], [0, 0], [0, 0], [True, 0]]}], "entry 3 must be"),
+        ([{"name": "I", "matrix": [[1, 0], [0, 0], [0, 0], [1]]}], "entry 3 must be"),
+        ([{"name": "I", "matrix": [[1, 0], [0, 0], [0, 0], ["1", 0]]}], "entry 3 must be"),
+        ([{"name": "D", "matrix": [[1, 0], [0, 0], [0, 0], [2, 0]]}], "not unitary"),
+    ],
+    ids=["no-matrix", "not-a-list", "not-an-object", "name-not-a-string", "matrix-not-a-list",
+         "unknown-field", "3-entries", "1-entry", "no-entries", "8-entries", "boolean-entry",
+         "short-pair", "string-entry", "not-unitary"],
+)
+def test_enumerate_rejects_a_malformed_net_file(tmp_path, capsys, spec, message):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        capsys, "enumerate", "-n", "1", "-N", "1", "--qubits", "1", "--net", str(net_path),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert re.search(message, err)
+
+
+def test_enumerate_rejects_a_net_file_that_is_not_json(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    net_path.write_text("[{")
+    code, _, err = run_cli(
+        capsys, "enumerate", "-n", "1", "-N", "1", "--qubits", "1", "--net", str(net_path),
+    )
+    assert code == 1 and "not valid JSON" in err
 
 
 def test_unknown_flag_exits_64(capsys):

@@ -521,6 +521,28 @@ def test_non_formula_p_within_1e_12_of_a_threshold_is_redecided_by_run(
     assert got.status == status == scan_verdict(c, [0, 1])[0]
 
 
+def swap_nonformula(p0, width):
+    """x1 copied onto lines 1 and 2, which a SWAP reconverges, then rotated
+    on the output line 2: p is p0 or 1 - p0.  Lines past the third are
+    idle constants, outside the light cone."""
+    s, c = np.sqrt(p0), np.sqrt(1 - p0)
+    return build_circuit(
+        width, [variable(1)] + [constant(0)] * (width - 1),
+        [((0, 1), CNOT), ((0, 2), CNOT), ((1, 2), SWAP), ((2,), np.array([[c, -s], [s, c]]))],
+        output_qubit=2,
+    )
+
+
+def test_boundary_redecision_runs_on_the_cone_whatever_the_width(run_calls):
+    narrow, padded = swap_nonformula(1 / 3 + 5e-13, 3), swap_nonformula(1 / 3 + 5e-13, 21)
+    assert not is_formula(narrow) and not is_formula(padded)
+    got = evaluate(narrow, [0, 1])
+    assert run_calls == [(0,), (1,)]
+    assert evaluate(padded, [0, 1]) == got
+    assert run_calls == [(0,), (1,)] * 2
+    assert got.status == "undetermined" == scan_verdict(narrow, [0, 1])[0]
+
+
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
 def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true_offset):
     c = rotation_nonformula(1 / 3 + true_offset)
