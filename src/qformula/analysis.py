@@ -129,13 +129,14 @@ def computation_graph(circuit: Circuit) -> ComputationGraph:
 
     Checks the circuit first.  The circuit is immutable, so the result is
     kept on it, as ``check()`` keeps its verdict, and later calls return
-    the same object.  When no gate touches the output line the graph is
+    the same object; ``Circuit.relabel`` carries it over, since the
+    wiring does not read labels.  When no gate touches the output line the graph is
     the bare output wire: no gate nodes, no root.
     """
+    circuit.check()
     graph = circuit.__dict__.get("_graph")
     if graph is not None:
         return graph
-    circuit.check()
     prev_on, next_on, first_on, last_on = _line_maps(circuit)
     root = last_on[circuit.output_qubit]
     nodes: set[int] = {root} - {None}

@@ -129,7 +129,12 @@ class Circuit:
         return len(self.gates) + self.num_qubits
 
     def relabel(self, labels: Iterable[InputLabel]) -> "Circuit":
-        return replace(self, labels=tuple(labels))
+        """The same gates on other labels.  The kept wiring, which reads no
+        label, carries over; the ``check()`` verdict does not."""
+        circuit = replace(self, labels=tuple(labels))
+        if "_graph" in self.__dict__:
+            object.__setattr__(circuit, "_graph", self.__dict__["_graph"])
+        return circuit
 
     def check(self) -> "Circuit":
         """Raise InvalidCircuitError unless the circuit is well-formed.

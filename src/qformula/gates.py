@@ -6,6 +6,8 @@ target qubit as the most significant bit.
 from __future__ import annotations
 
 import math
+import os
+import re
 from typing import Sequence
 
 import numpy as np
@@ -36,11 +38,29 @@ SWAP = np.array(
 TOFFOLI = np.eye(8, dtype=complex)
 TOFFOLI[[6, 7]] = TOFFOLI[[7, 6]]
 
-# multiply-adds of the largest product handed to BLAS in one call.
-# OpenBLAS splits larger products across threads, which stall for up to
-# milliseconds per call when the other cores are busy; complex products
-# of 2^15 stayed on one thread and 2^16 did not (OpenBLAS 0.3.31).
-BLAS_SLICE_MACS = 2 ** 15
+
+def _blas_may_thread() -> bool:
+    """False only for OpenBLAS on one thread, counted as OpenBLAS counts:
+    the first positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS, at most the CPUs this process may run on.  In doubt
+    (another BLAS, a count that is not an integer), True."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    counts = [os.environ.get(name, "").strip() or "0" for name in names]
+    if "openblas" not in str(blas.get("name")) or not all(re.fullmatch("[+-]?[0-9]+", c) for c in counts):
+        return True
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(next((int(c) for c in counts if int(c) > 0), cpus), cpus) > 1
+
+
+# multiply-adds of the largest product handed to BLAS in one call; None,
+# no cap, when BLAS runs on one thread (decided once, at import).  OpenBLAS
+# splits larger products across threads, which stall for up to
+# milliseconds per call when the other cores are busy; complex products of
+# 2^15 stayed on one thread and 2^16 did not (OpenBLAS 0.3.31).  On one
+# thread a whole call is fastest: a 32x32 block times 32x1024 columns ran
+# at 4.6 G complex multiply-adds/s in one call, 2.6-3.1 G as slices.
+BLAS_SLICE_MACS = 2 ** 15 if _blas_may_thread() else None
 
 NAMED_GATES: dict[str, np.ndarray] = {
     "I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T,
@@ -75,10 +95,10 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def capped_matmul(matrix: np.ndarray, flat: np.ndarray, out=None) -> np.ndarray:
     """``matrix @ flat`` (square matrix), written to ``out`` when given.  A
-    product of more than ``BLAS_SLICE_MACS`` multiply-adds goes as one
-    stack of column slices, as wide as fits (at least one column)."""
+    product over a ``BLAS_SLICE_MACS`` cap goes as one stack of column
+    slices, as wide as fits (at least one column)."""
     dim, cols = flat.shape
-    if dim * dim * cols <= BLAS_SLICE_MACS:
+    if BLAS_SLICE_MACS is None or dim * dim * cols <= BLAS_SLICE_MACS:
         return np.matmul(matrix, flat, out=out)
     width = math.gcd(cols, max(1, BLAS_SLICE_MACS // dim ** 2))
     shape = (dim, cols // width, width)

@@ -19,11 +19,14 @@ leading qubit axes of a tensor and leaves any trailing batch axes alone:
   light cone, the computation graph's gates (a dropped gate commutes
   past every kept one and never acts on the output line, so p is
   exact), fused into blocks on at most ``FUSED_LINES`` lines, one
-  matrix each.  Its state holds the cone's lines only; the others never
-  change, so only the variables on cone lines are scanned and p is
-  broadcast over the rest.  Batches hold ``PRUNED_AMPLITUDES`` (2^15)
-  amplitudes; the batch array and the kernel's scratch for its
-  transposed copies are allocated once per call and handed down.
+  matrix each.  A cone line joins the state at the first block on it
+  (the output line at the end if none), as a constant's basis vector or
+  a copy of its variable; a variable joins the scan with its first
+  line, so earlier blocks run once for both of its values, and p is
+  broadcast over the variables off the cone.  The first variables to
+  join are batch axes, as many as fit ``PRUNED_AMPLITUDES`` (2^15)
+  amplitudes; at each later one the state is saved (each saved state is
+  at least twice the one before) and the rest runs once per value.
 * The tree contraction (``contract_formula``) needs a formula.  Each
   gate of the computation graph combines its children's reduced density
   matrices with the basis states of its bare input lines, applies
@@ -35,7 +38,8 @@ leading qubit axes of a tensor and leaves any trailing batch axes alone:
 Both state vectors are capped at ``max_qubits`` lines: the step-order
 one counts all of the circuit's lines, the pruned one its cone's.  The
 kernel's products go through ``gates.capped_matmul``, which hands BLAS
-no product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call.
+no product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call
+when BLAS may run on more than one thread.
 
 ``evaluate`` dispatches on ``is_formula``: formulas take the
 contraction, everything else the pruned, fused state vector.  Either
@@ -66,13 +70,15 @@ BOUNDARY_TOL = 1e-12
 # of the step-order oracle, or everything a tree contraction keeps at
 # once.  At 2^13 (128 KiB) a batch stays in cache.
 CHUNK_AMPLITUDES = 2 ** 13
-# the same for each of the pruned state vector's two arrays (the batch and
-# the kernel's scratch); 2^15 ran faster than 2^13 or 2^14 at 12 lines.
+# the same for the pruned state vector's state and kernel scratch; 2^15 ran
+# faster than 2^13 or 2^14 at 12 lines, and 2^16 held 1.5 MB more at peak.
 PRUNED_AMPLITUDES = 2 ** 15
 # lines a fused block of the pruned state vector may act on: a k-line
 # block costs 2^k multiply-adds per amplitude, against 2^a for each of
 # the a-qubit gates it replaces
 FUSED_LINES = 5
+# row b is the basis vector |b>; the whole, reshaped over two axes, copies one into the other
+_BASIS = np.eye(2, dtype=complex)
 _EINSUM_AXES = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -341,15 +347,60 @@ def _probabilities(
     circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
     """p1 of every assignment after ``gates``, a schedule of the output
-    line's light cone, on the cone's lines only: only the variables on
-    cone lines are scanned, and p is broadcast over the rest in scan
-    order.  The cap applies to the cone's lines."""
+    line's light cone, on the cone's lines only, which join the state at
+    their first block; p is broadcast in scan order over the variables
+    off the cone.  The cap applies to the cone's lines."""
     cone, scanned = _cone(circuit, gates)
     _require_cap(cone, max_qubits)
+    m, out = cone.num_qubits, cone.output_qubit
+    lines = dict.fromkeys([q for g in cone.gates for q in g.targets] + [out])
+    joins = [v for v in dict.fromkeys(cone.labels[q].var for q in lines) if v is not None]
+    batch = joins[:max(0, (PRUNED_AMPLITUDES >> m).bit_length() - 1)]
+    # blocks on the state's axes (lines q, newest first, then batch variables
+    # v as -v) and growth steps (shape, source): a constant's basis vector,
+    # _BASIS whole to copy a batch variable, or a branch variable's index
+    axes: list[int] = []
+    plan: list = []
+    for gate in [*cone.gates, None]:
+        for q in [q for q in (gate.targets if gate else [out]) if q not in axes]:
+            v = cone.labels[q].var
+            if v in batch and -v not in axes:
+                axes.append(-v)
+            axes.insert(0, q)
+            plan.append((tuple(2 if a in (q, -v if v in batch else q) else 1 for a in axes),
+                         _BASIS if v in batch else v or _BASIS[cone.labels[q].const]))
+        if gate:
+            plan.append(Gate(gate.step, tuple(axes.index(q) for q in gate.targets), gate.matrix))
+    summed = tuple(i for i in range(m) if axes[i] != out)
+    found = np.empty((2,) * (1 + len(joins) - len(batch)) + (2 ** len(batch),))  # p, norms
+    home, spare = (np.empty(1 << len(axes), complex) for _ in range(2))
+    pending = [(np.ones((), complex), 0, {})]  # (state, plan step, branch values)
+    while pending:
+        tensor, start, fixed = pending.pop()
+        for i in range(start, len(plan)):
+            if isinstance(plan[i], Gate):
+                tensor = _apply(tensor, plan[i], home[:tensor.size], spare)
+                continue
+            shape, source = plan[i]
+            if isinstance(source, int) and source not in fixed:  # branch on x_source
+                prefix = tensor.copy()
+                pending += [(prefix, i, {**fixed, source: bit}) for bit in (1, 0)]
+                break
+            if len(shape) > tensor.ndim + 1:  # a batch variable's axis joins, last
+                tensor = tensor[..., None]
+            factor = _BASIS[fixed[source]] if isinstance(source, int) else source
+            tensor = np.multiply(factor.reshape(shape), tensor,
+                                 out=spare[:1 << len(shape)].reshape((2,) * len(shape)))
+            home, spare = spare, home
+        else:
+            weights = np.abs(tensor, out=spare.view(float)[:tensor.size].reshape(tensor.shape))
+            marginal = np.square(weights, out=weights).sum(axis=summed).reshape(2, -1)
+            found[(slice(None), *fixed.values())] = marginal[1], np.sqrt(marginal.sum(axis=0))
     n = circuit.num_variables
+    order = np.argsort(joins[len(batch):] + batch)
     shape = [2 if j in scanned else 1 for j in range(1, n + 1)]
-    p, norms = (np.broadcast_to(a.reshape(shape), (2,) * n).flatten()
-                for a in _scan(cone, cone.gates, PRUNED_AMPLITUDES))
+    p, norms = (np.broadcast_to(a.reshape((2,) * len(joins)).transpose(order).reshape(shape),
+                                (2,) * n).flatten() for a in found)
     _check_drift(norms, 0, n, "state norm")
     return p
 

@@ -16,12 +16,13 @@ from qformula import (
     is_formula,
     path_segments,
     path_sets,
+    restrict,
     squeeze_all,
     variable,
 )
 from qformula.circuit import InvalidCircuitError
 from qformula.gates import CNOT, H, X, random_unitary
-from qformula.samples import formula_example, nonformula_example, two_path_example
+from qformula.samples import formula_corpus, formula_example, nonformula_example, two_path_example
 
 
 def test_tree_reference_graph_has_three_gates():
@@ -315,6 +316,33 @@ def test_evaluate_derives_the_wiring_once(derivations, make):
     c = make()
     evaluate(c, [0, 0, 0, 0])
     assert derivations == [c]
+
+
+def test_a_corpus_squeeze_pass_derives_the_wiring_once_per_formula(derivations):
+    members = formula_corpus(110)  # fresh circuits: none has a kept graph yet
+    for member in members:  # as ``qf squeeze`` runs one job
+        f_rho = restrict(member.formula.check(), member.block, dict(member.rho))
+        squeeze_all(f_rho, None)
+    assert len(derivations) == 110  # restrict's relabelled circuit derives nothing
+
+
+def test_relabel_carries_a_graph_equal_to_a_fresh_derivation(corpus):
+    fields = ("gate_steps", "edges", "root_step", "prev_on", "next_on", "first_on",
+              "up_lines", "path_counts")
+    for member in corpus[:40]:
+        f_rho = restrict(member.formula, member.block, dict(member.rho))
+        carried, fresh = computation_graph(f_rho), computation_graph(replace(f_rho))
+        assert carried is computation_graph(member.formula)
+        assert all(getattr(carried, f) == getattr(fresh, f) for f in fields)
+
+
+def test_relabel_does_not_carry_the_check_verdict():
+    c = formula_example()
+    computation_graph(c)
+    bad = c.relabel([variable(2)] * c.num_qubits)  # x1 missing: not contiguous
+    assert "_graph" in bad.__dict__ and "_valid" not in bad.__dict__
+    with pytest.raises(InvalidCircuitError, match="not contiguous"):
+        computation_graph(bad)
 
 
 def test_root_up_lines_is_the_output_line():

@@ -6,10 +6,16 @@ by assignment, and ``evaluate`` must give the verdict of a
 per-assignment ``run`` scan.
 """
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qformula
 from qformula import (
     Gate,
     build_circuit,
@@ -304,8 +310,43 @@ def test_kernel_with_scratch_is_bit_identical(monkeypatch, sliced):
         assert np.array_equal(_apply(buffer, gate, buffer, scratch), expected)
 
 
+# prints OpenBLAS's own thread count (None without the symbol) and the cap
+_CAP_PROBE = """
+import ctypes, json, os, sys
+if sys.argv[1:] == ["one-cpu"]:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy
+from qformula import gates
+paths = [line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line]
+count = getattr(ctypes.CDLL(paths[0]), "scipy_openblas_get_num_threads64_", None) if paths else None
+if count:
+    count.argtypes, count.restype = [], ctypes.c_int
+print(json.dumps([count and count(), gates.BLAS_SLICE_MACS]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs Linux CPU affinity")
+@pytest.mark.parametrize("setting", [
+    {}, {"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "one-cpu",
+], ids=["unset", "omp-1", "openblas-2-omp-1", "one-cpu"])
+def test_products_are_sliced_exactly_when_openblas_may_thread(setting):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(qformula.__file__).parents[1])
+    argv = [sys.executable, "-c", _CAP_PROBE]
+    if setting == "one-cpu":
+        argv.append(setting)
+    else:
+        env.update(setting)
+    count, cap = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True,
+                                           check=True).stdout)
+    if count is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    assert (cap is not None) == (count > 1)
+
+
 def counted_batches(monkeypatch):
-    """Count the batches the state vectors run, one ``_evolve`` call each."""
+    """Count the batches the step-order state vector runs, one ``_evolve`` call each."""
     calls = []
     real = simulator._evolve
 
@@ -317,6 +358,19 @@ def counted_batches(monkeypatch):
     return calls
 
 
+def kernel_calls(monkeypatch):
+    """Record (step, state size) of every ``_apply`` call."""
+    calls = []
+    real = simulator._apply
+
+    def counting(tensor, gate, *args):
+        calls.append((gate.step, tensor.size))
+        return real(tensor, gate, *args)
+
+    monkeypatch.setattr(simulator, "_apply", counting)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [41, 39], ids=["cone-is-every-line", "cone-is-7-lines"])
 @pytest.mark.parametrize("per_batch", [1, 4, 2 ** 5], ids=["one", "several", "single-batch"])
 def test_pruned_path_matches_the_oracle_at_every_batch_size(monkeypatch, seed, per_batch):
@@ -325,10 +379,15 @@ def test_pruned_path_matches_the_oracle_at_every_batch_size(monkeypatch, seed, p
     blocks = _fused_schedule(c)
     lines = {q for b in blocks for q in b.targets} | {c.output_qubit}
     scanned = 2 ** len({c.labels[q].var for q in lines} - {None})
-    calls = counted_batches(monkeypatch)
+    calls = kernel_calls(monkeypatch)
     monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", per_batch << len(lines))
     assert np.max(np.abs(_probabilities(c, blocks) - expected)) <= TOL
-    assert calls == [min(per_batch, scanned)] * max(1, scanned // per_batch)
+    # no state exceeds the budget; the last block, on every cone line,
+    # holds min(per_batch, scanned) assignments as batch axes and runs
+    # once per value of the variables that branch
+    assert max(size for _, size in calls) <= simulator.PRUNED_AMPLITUDES
+    last = [size for step, size in calls if step == blocks[-1].step]
+    assert last == [min(per_batch, scanned) << len(lines)] * max(1, scanned // per_batch)
 
 
 def cone_with_idle_line():
@@ -352,17 +411,19 @@ def test_pruned_path_scans_only_the_cone_variables(monkeypatch):
     p = probability_vector(c)
     assert np.max(np.abs(fused_probabilities(c) - p)) <= TOL
     assert np.array_equal(p.reshape(2, 2, 2)[:, 0], p.reshape(2, 2, 2)[:, 1])  # not on x2
-    calls = counted_batches(monkeypatch)
-    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", 2 ** 4)  # one assignment per batch
+    calls = kernel_calls(monkeypatch)
+    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", 2 ** 4)  # the 4 cone lines, no batch
     table = (p > 0.5).astype(int)
     for bits in (table, 1 - table):
         calls.clear()
         got = evaluate(c, bits)
+        # the one block runs over x1 and x3, not 8 times over x1, x2 and x3;
+        # fusing it acts on a 2^4 x 2^4 identity, 2^8 entries
+        assert [call for call in calls if call[1] < 2 ** 8] == [(5, 2 ** 4)] * 4
         assert (got.status, got.alpha) == scan_verdict(c, bits)[:2]
-        assert calls == [1] * 4  # over x1 and x3, not 8 over x1, x2 and x3
-    calls.clear()
+    batches = counted_batches(monkeypatch)
     probability_vector(c)
-    assert sum(calls) == 8
+    assert sum(batches) == 8
 
 
 def test_pruned_path_names_the_first_drifting_assignment_in_full_scan_order():
@@ -374,6 +435,65 @@ def test_pruned_path_names_the_first_drifting_assignment_in_full_scan_order():
     for simulate in (fused_probabilities, probability_vector, lambda c: evaluate(c, [0] * 8)):
         with pytest.raises(SimulationError, match="state norm drifted .* at assignment 100"):
             simulate(c)
+
+
+def lines_joining_late():
+    """x1 on lines 0 and 3, which join at the first and the third block of
+    the cone; the constant lines 2 and 5 join at the third and the fourth
+    (the gate on lines 2 and 0 feeds nothing and drops out)."""
+    rng = np.random.default_rng(44)
+    return build_circuit(
+        6, [variable(1), variable(2), constant(1), variable(1), variable(3), constant(0)],
+        [((0, 1), random_unitary(4, rng)), ((1, 4), random_unitary(4, rng)),
+         ((3, 2), random_unitary(4, rng)), ((2, 0), random_unitary(4, rng)),
+         ((4, 5), random_unitary(4, rng)), ((5, 3), random_unitary(4, rng))],
+        output_qubit=3,
+    )
+
+
+def untouched_output_line():
+    """The output line x2 meets no gate; x1's lines sit outside the cone."""
+    rng = np.random.default_rng(45)
+    return build_circuit(
+        3, [variable(1), variable(2), variable(1)], [((0, 2), random_unitary(4, rng))],
+        output_qubit=1,
+    )
+
+
+LAZY_CASES = {
+    "variable-and-constants-join-late": lines_joining_late,
+    "untouched-output-line": untouched_output_line,
+    "variables-outside-the-cone": cone_with_idle_line,
+}
+
+
+@pytest.mark.parametrize("budget", [1, 2 ** 20], ids=["every-variable-branches", "none-branches"])
+@pytest.mark.parametrize("make", LAZY_CASES.values(), ids=LAZY_CASES.keys())
+def test_lines_join_the_pruned_state_at_their_first_block(monkeypatch, make, budget):
+    c = make()
+    expected = probability_vector(c)
+    monkeypatch.setattr(simulator, "FUSED_LINES", 2)  # one block per gate
+    blocks = _fused_schedule(c)
+    calls = kernel_calls(monkeypatch)
+    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", budget)
+    assert np.max(np.abs(_probabilities(c, blocks) - expected)) <= TOL
+    # block i acts on the lines joined so far and once per value of the
+    # variables joined so far: as many runs when they branch, one run
+    # with them as batch axes when none does
+    for i, block in enumerate(blocks):
+        lines = {q for b in blocks[:i + 1] for q in b.targets}
+        joined = 2 ** len({c.labels[q].var for q in lines} - {None})
+        runs = [size for step, size in calls if step == block.step]
+        assert runs == ([2 ** len(lines)] * joined if budget == 1 else [joined << len(lines)])
+
+
+@pytest.mark.parametrize("budget", [1, 2 ** 20], ids=["every-variable-branches", "none-branches"])
+def test_lazy_path_names_the_first_drifting_assignment_at_any_budget(monkeypatch, budget):
+    c = lines_joining_late()
+    _force_matrix(c, 2, c.gates[2].matrix @ np.diag([1, 1, 0.5, 0.5]))  # line 3 is 1: x1 = 1
+    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", budget)
+    with pytest.raises(SimulationError, match="state norm drifted .* at assignment 100"):
+        fused_probabilities(c)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Random formulas go through ``run``, the batched ``probability_vector``,
 ``to_unitary`` and ``contract_formula``; random general circuits through
-the first three and the pruned, fused state vector.  All must agree
-within 1e-12, and ``evaluate`` must give the verdict of a per-assignment
-``run`` scan.
+the first three and the pruned, fused state vector (also with every
+variable branching).  All must agree within 1e-12, and ``evaluate``
+must give the verdict of a per-assignment ``run`` scan.
 
 Circuit files written by ``write_circuit`` are mutated (keys dropped,
 duplicated or added, values swapped for booleans, huge integers, nested
@@ -203,6 +203,8 @@ def test_fuzz_general_circuits_agree_across_simulators(circuit, data):
             blocks = _fused_schedule(circuit)
             assert all(b.arity <= max(cap, 3) for b in blocks)
             assert np.max(np.abs(_probabilities(circuit, blocks) - by_run)) <= TOL
+            with mock.patch.object(simulator, "PRUNED_AMPLITUDES", 1):  # every variable branches
+                assert np.max(np.abs(_probabilities(circuit, blocks) - by_run)) <= TOL
     table = data.draw(st.lists(st.integers(0, 1), min_size=by_run.size, max_size=by_run.size))
     got = evaluate(circuit, table)
     assert (got.status, got.alpha) == _scan(circuit, table)
