@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .analysis import (
     InconsistentAnalysisError,
@@ -73,7 +71,7 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -257,17 +255,17 @@ def _cmd_ed(args) -> int:
     return 0
 
 
+def _power_text(value: float | None, log2: float) -> str:
+    return f"2^{log2:.6g}" + ("" if value is None else f" = {value:.12g}")
+
+
 def _cmd_bounds(args) -> int:
     if args.bound == "warren":
         if None in (args.m, args.t, args.deg):
             raise ValueError("bounds warren requires -m, -t and --deg")
-        value = warren_bound(args.m, args.t, args.deg)
         log2 = warren_bound_log2(args.m, args.t, args.deg)
-        _emit(
-            args,
-            {"value": value, "log2": log2},
-            [f"warren bound = {value:.12g} ({log2:.6g} bits)"],
-        )
+        value = warren_bound(args.m, args.t, args.deg)
+        _emit(args, {"value": value, "log2": log2}, [f"warren bound = {_power_text(value, log2)}"])
     elif args.bound == "appendix":
         if None in (args.n, args.size):
             raise ValueError("bounds appendix requires -n and -N")
@@ -286,9 +284,8 @@ def _cmd_bounds(args) -> int:
             payload,
             [
                 f"mu = {bound.mu}",
-                f"sign-assignment factor = 2^{bound.log2_sign_factor:.6g}"
-                + (f" = {bound.sign_factor:.6g}" if np.isfinite(bound.sign_factor) else ""),
-                f"with wiring classes: 2^{bound.log2_total:.6g}",
+                f"sign-assignment factor = {_power_text(bound.sign_factor, bound.log2_sign_factor)}",
+                f"with wiring classes: {_power_text(bound.total, bound.log2_total)}",
             ],
         )
     else:
@@ -308,8 +305,8 @@ def _cmd_bounds(args) -> int:
                 "log2_power_form": classes.log2_power_form,
             },
             [
-                f"C(n', d)^N = {classes.binomial_form:.12g}",
-                f"(dN)^(dN) = {classes.power_form:.12g}",
+                f"C(n', d)^N = {_power_text(classes.binomial_form, classes.log2_binomial_form)}",
+                f"(dN)^(dN) = {_power_text(classes.power_form, classes.log2_power_form)}",
             ],
         )
     return 0

@@ -8,13 +8,15 @@ Three bound evaluators and one desk-scale witness:
   size fall into when gate labels are ignored, as C(n', d)^N together
   with the cruder (dN)^(dN).
 * ``appendix_bound``: the sign-assignment count over the 2*mu real gate
-  entries (mu = 2^(2d) N) of one wiring class, evaluated in log2 to
-  stay finite, plus its product with the class count.
+  entries (mu = 2^(2d) N) of one wiring class, plus its product with
+  the class count.
 * ``enumerate_functions``: exhausts every circuit over a finite gate
   net at toy sizes and reports which Boolean functions are actually
   computed, so the bounds can be checked from below.
 
-A lattice sign-pattern counter is included as a lower-bound witness for
+Every bound is computed once, in log2, so no size overflows; a linear
+value is reported only while it is a finite float, else None.  A lattice
+sign-pattern counter is included as a lower-bound witness for
 ``warren_bound``: a grid can only miss patterns, never invent them.
 """
 from __future__ import annotations
@@ -38,19 +40,22 @@ MAX_ENUM_NET = 8
 MAX_ENUM_QUBITS = 6
 
 
-def warren_bound(m: int, t: int, deg: int) -> float:
-    """(4 e deg m / t)^t, the sign-assignment cap for m degree-deg
-    polynomials in t real variables."""
-    if min(m, t, deg) < 1:
-        raise ValueError(f"m, t, deg must be positive, got {(m, t, deg)}")
-    return (4.0 * E * deg * m / t) ** t
+def _linear(log2: float) -> float | None:
+    """2^log2 when that is a finite float, else None."""
+    return 2.0 ** log2 if log2 < 1024 else None
 
 
 def warren_bound_log2(m: int, t: int, deg: int) -> float:
-    """log2 of warren_bound, safe for parameters that overflow a float."""
+    """log2 of (4 e deg m / t)^t, the sign-assignment cap for m
+    degree-deg polynomials in t real variables."""
     if min(m, t, deg) < 1:
         raise ValueError(f"m, t, deg must be positive, got {(m, t, deg)}")
     return t * (math.log2(4.0 * E) + math.log2(deg) + math.log2(m) - math.log2(t))
+
+
+def warren_bound(m: int, t: int, deg: int) -> float | None:
+    """(4 e deg m / t)^t, or None past the float range."""
+    return _linear(warren_bound_log2(m, t, deg))
 
 
 @dataclass(frozen=True)
@@ -83,30 +88,32 @@ class CountingParams:
 
 @dataclass(frozen=True)
 class EquivClassBound:
-    """Wiring-class counts: the binomial form and the cruder power form."""
+    """Wiring-class counts, the binomial form and the cruder power form,
+    in log2; each count itself while it is below 2^1023, else None."""
 
-    binomial_form: float  # C(n', d)^N
-    power_form: float  # (dN)^(dN)
+    binomial_form: float | None  # C(n', d)^N
+    power_form: float | None  # (dN)^(dN)
     log2_binomial_form: float
     log2_power_form: float
 
 
+def _power(base: int, exponent: int) -> tuple[float, float | None]:
+    """log2 of base^exponent, and the exact power while below 2^1023."""
+    log2 = exponent * math.log2(base)
+    return log2, float(base ** exponent) if log2 < 1023 else None
+
+
 def equiv_class_bound(params: CountingParams) -> EquivClassBound:
-    choose = math.comb(params.n_prime, params.d)
-    log2_binom = params.N * math.log2(choose) if choose > 0 else float("-inf")
     dn = params.d * params.N
-    log2_power = dn * math.log2(dn)
-    return EquivClassBound(
-        binomial_form=float(choose) ** params.N,
-        power_form=float(dn) ** dn,
-        log2_binomial_form=log2_binom,
-        log2_power_form=log2_power,
-    )
+    log2_binom, binom = _power(math.comb(params.n_prime, params.d), params.N)
+    log2_power, power = _power(dn, dn)
+    return EquivClassBound(binom, power, log2_binom, log2_power)
 
 
 @dataclass(frozen=True)
 class AppendixBound:
-    """Sign-assignment factor and its product with the class count, in bits."""
+    """Sign-assignment factor and its product with the class count, in
+    bits; the linear values are None past the float range."""
 
     mu: int
     log2_sign_factor: float
@@ -117,12 +124,12 @@ class AppendixBound:
         return self.log2_sign_factor + self.log2_class_count
 
     @property
-    def sign_factor(self) -> float:
-        return 2.0 ** self.log2_sign_factor if self.log2_sign_factor < 1000 else float("inf")
+    def sign_factor(self) -> float | None:
+        return _linear(self.log2_sign_factor)
 
     @property
-    def total(self) -> float:
-        return 2.0 ** self.log2_total if self.log2_total < 1000 else float("inf")
+    def total(self) -> float | None:
+        return _linear(self.log2_total)
 
 
 def appendix_bound(params: CountingParams) -> AppendixBound:
@@ -275,6 +282,8 @@ def enumerate_functions(
         raise ValueError(f"num_qubits must be 1..{MAX_ENUM_QUBITS}, got {num_qubits}")
     if n > num_qubits:
         raise ValueError(f"{n} variables cannot all appear on {num_qubits} lines")
+    if arity_bound < 1:
+        raise ValueError(f"arity_bound must be at least 1, got {arity_bound}")
 
     label_options: list[InputLabel] = [variable(j) for j in range(1, n + 1)]
     label_options += [constant(0), constant(1)]

@@ -94,18 +94,19 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def capped_matmul(matrix: np.ndarray, flat: np.ndarray, out=None) -> np.ndarray:
-    """``matrix @ flat`` (square matrix), written to ``out`` when given.  A
-    product over a ``BLAS_SLICE_MACS`` cap goes as one stack of column
-    slices, as wide as fits (at least one column)."""
-    dim, cols = flat.shape
+    """``matrix @ flat`` (square matrix; ``flat`` a matrix or a stack of
+    them), written to ``out`` when given.  A product over a
+    ``BLAS_SLICE_MACS`` cap goes as one stack of column slices, as wide
+    as fits (at least one column)."""
+    *lead, dim, cols = flat.shape
     if BLAS_SLICE_MACS is None or dim * dim * cols <= BLAS_SLICE_MACS:
         return np.matmul(matrix, flat, out=out)
     width = math.gcd(cols, max(1, BLAS_SLICE_MACS // dim ** 2))
-    shape = (dim, cols // width, width)
+    shape = (*lead, dim, cols // width, width)
     if out is None:
         out = np.empty(flat.shape, np.result_type(matrix, flat))
-    np.matmul(matrix, flat.reshape(shape).transpose(1, 0, 2),
-              out=out.reshape(shape).transpose(1, 0, 2))
+    np.matmul(matrix, np.swapaxes(flat.reshape(shape), -3, -2),
+              out=np.swapaxes(out.reshape(shape), -3, -2))
     return out
 
 

@@ -27,6 +27,15 @@ leading qubit axes of a tensor and leaves any trailing batch axes alone:
   join are batch axes, as many as fit ``PRUNED_AMPLITUDES`` (2^15)
   amplitudes; at each later one the state is saved (each saved state is
   at least twice the one before) and the rest runs once per value.
+  The state is real: float64 with one more axis, re/im, and each
+  block's matrix U is realified once, as [[Re U, -Im U], [Im U, Re U]]
+  over (re/im, its lines).  The plan fixes the state's memory order of
+  axes at every step.  A block whose re/im axis and lines sit next to
+  each other runs as one batched real product, from one buffer into
+  the other; any other block's input is first copied into an order in
+  which the blocks after it also find theirs adjacent, as far as one
+  order allows.  p is one sum of squares over the state, in memory
+  order.
 * The tree contraction (``contract_formula``) needs a formula.  Each
   gate of the computation graph combines its children's reduced density
   matrices with the basis states of its bare input lines, applies
@@ -55,6 +64,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,11 +84,12 @@ CHUNK_AMPLITUDES = 2 ** 13
 # faster than 2^13 or 2^14 at 12 lines, and 2^16 held 1.5 MB more at peak.
 PRUNED_AMPLITUDES = 2 ** 15
 # lines a fused block of the pruned state vector may act on: a k-line
-# block costs 2^k multiply-adds per amplitude, against 2^a for each of
-# the a-qubit gates it replaces
-FUSED_LINES = 5
+# block costs 2^(k+1) real multiply-adds per entry, against 2^(a+1) for
+# each of the a-qubit gates it replaces.  4 ran faster than 3 or 5 on
+# random 60-gate circuits over 12 lines.
+FUSED_LINES = 4
 # row b is the basis vector |b>; the whole, reshaped over two axes, copies one into the other
-_BASIS = np.eye(2, dtype=complex)
+_BASIS = np.eye(2)
 _EINSUM_AXES = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -86,7 +97,7 @@ class SimulationError(ValueError):
     """Inputs to the simulator are malformed."""
 
 
-def _apply(tensor: np.ndarray, gate, out=None, scratch=None) -> np.ndarray:
+def _apply(tensor: np.ndarray, gate, out=None, scratch=None, *, run=False, order=None) -> np.ndarray:
     """The gate kernel: act on the qubit axes ``gate.targets``.
 
     ``tensor`` has one axis of size 2 per qubit followed by any number
@@ -96,9 +107,22 @@ def _apply(tensor: np.ndarray, gate, out=None, scratch=None) -> np.ndarray:
     the input goes to ``scratch`` when given (a flat array the caller
     owns, at least the tensor's size), else to a new array.  Products go
     through ``capped_matmul``.
+
+    The pruned plan passes ``run``: its contiguous tensor has axes of
+    size 2 only, and ``gate.targets`` are adjacent axes a..a+k-1 once it
+    is copied to ``scratch`` in the axis order ``order`` (when given).
+    The product is one batched (2^a, 2^k, rest) matmul into ``out``, a
+    buffer other than the input's, in that same axis order.
     """
-    order, back = _axis_orders(gate.targets, tensor.ndim)
-    front = tensor.transpose(order)
+    if run:
+        if order is not None:
+            front = tensor.transpose(order)
+            tensor = scratch[:tensor.size].reshape(front.shape)
+            np.copyto(tensor, front)
+        view = tensor.reshape(1 << gate.targets[0], 1 << len(gate.targets), -1)
+        return capped_matmul(gate.matrix, view, out.reshape(view.shape)).reshape(tensor.shape)
+    to_front, back = _axis_orders(gate.targets, tensor.ndim)
+    front = tensor.transpose(to_front)
     if scratch is not None:
         copy = scratch[:tensor.size].reshape(front.shape)
         np.copyto(copy, front)
@@ -343,6 +367,80 @@ def _cone(circuit: Circuit, gates) -> tuple[Circuit, list[int]]:
     return cone, scanned
 
 
+class _Run(NamedTuple):
+    """A fused block as the pruned plan runs it: a real matrix on the
+    adjacent axes ``targets``, after a copy into the axis order ``order``
+    unless that is None."""
+
+    step: int
+    targets: tuple[int, ...]
+    matrix: np.ndarray
+    order: tuple[int, ...] | None
+
+
+def _chain(axes: list, blocks: list) -> list:
+    """A memory order of ``axes`` in which the re/im axis (None) and the
+    lines of blocks[0] are adjacent, and so are those of as many of the
+    next blocks as one order allows: each must meet the placed lines in
+    exactly those after the re/im axis, and its new lines go after them,
+    those the block after it needs last.  The placed lines sit midway,
+    where batched products run fastest; the batch axes stay last and
+    the other axes keep their order, so the copy moves few inner axes."""
+    after = [*blocks[1:], ()]
+    seq = [q for q in blocks[0] if q not in after[0]] + [None]
+    seq += [q for q in blocks[0] if q in after[0]]
+    for block, then in zip(after, after[1:]):
+        if not set(block) <= set(axes) or set(block) & set(seq) != set(seq[seq.index(None) + 1:]):
+            break
+        seq += sorted((q for q in block if q not in seq), key=lambda q: q in then)
+    rest = [a for a in axes if a not in seq and a >= 0]
+    mid = min(len(rest), (len(axes) - len(seq)) // 2)
+    return rest[:mid] + seq + rest[mid:] + [a for a in axes if a is not None and a < 0]
+
+
+def _realify(matrix: np.ndarray, order: list[int]) -> np.ndarray:
+    """[[Re U, -Im U], [Im U, Re U]] over (re/im, U's lines), its axes
+    permuted to ``order``."""
+    real = np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
+    k = len(order)
+    real = real.reshape((2,) * 2 * k).transpose(*order, *(k + a for a in order))
+    return real.reshape(2 ** k, 2 ** k).copy()
+
+
+def _plan(cone: Circuit, batch: list[int]) -> tuple[list, list]:
+    """The pruned path's steps, and the state's axes in memory order at
+    the end: the re/im axis (None), lines q and batch variables v as -v.
+
+    A line joins at its first block (the output line at the end if
+    none) as the front axis, in a growth step (shape, source): the state
+    times a constant's basis vector, ``_BASIS`` whole to copy a batch
+    variable (whose axis joins last), or a branch variable's (index)
+    basis vector.  A block is a ``_Run``, copied first into the order
+    ``_chain`` plans when its lines and the re/im axis are not adjacent.
+    """
+    out, blocks = cone.output_qubit, [g.targets for g in cone.gates]
+    axes: list = [None]
+    plan: list = []
+    for i, gate in enumerate([*cone.gates, None]):
+        for q in [q for q in (gate.targets if gate else [out]) if q not in axes]:
+            v = cone.labels[q].var
+            if v in batch and -v not in axes:
+                axes.append(-v)
+            axes.insert(0, q)
+            plan.append((tuple(2 if a in (q, -v if v in batch else q) else 1 for a in axes),
+                         _BASIS if v in batch else v or _BASIS[cone.labels[q].const]))
+        if gate:
+            run, order = {None, *gate.targets}, None
+            at = [j for j, a in enumerate(axes) if a in run]
+            if at[-1] - at[0] >= len(at):
+                new = _chain(axes, blocks[i:])
+                order, axes = tuple(axes.index(a) for a in new), new
+                at = [j for j, a in enumerate(axes) if a in run]
+            local = [(None, *gate.targets).index(axes[j]) for j in at]
+            plan.append(_Run(gate.step, tuple(at), _realify(gate.matrix, local), order))
+    return plan, axes
+
+
 def _probabilities(
     circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
@@ -356,30 +454,21 @@ def _probabilities(
     lines = dict.fromkeys([q for g in cone.gates for q in g.targets] + [out])
     joins = [v for v in dict.fromkeys(cone.labels[q].var for q in lines) if v is not None]
     batch = joins[:max(0, (PRUNED_AMPLITUDES >> m).bit_length() - 1)]
-    # blocks on the state's axes (lines q, newest first, then batch variables
-    # v as -v) and growth steps (shape, source): a constant's basis vector,
-    # _BASIS whole to copy a batch variable, or a branch variable's index
-    axes: list[int] = []
-    plan: list = []
-    for gate in [*cone.gates, None]:
-        for q in [q for q in (gate.targets if gate else [out]) if q not in axes]:
-            v = cone.labels[q].var
-            if v in batch and -v not in axes:
-                axes.append(-v)
-            axes.insert(0, q)
-            plan.append((tuple(2 if a in (q, -v if v in batch else q) else 1 for a in axes),
-                         _BASIS if v in batch else v or _BASIS[cone.labels[q].const]))
-        if gate:
-            plan.append(Gate(gate.step, tuple(axes.index(q) for q in gate.targets), gate.matrix))
-    summed = tuple(i for i in range(m) if axes[i] != out)
+    plan, axes = _plan(cone, batch)
+    kept = [axes.index(a) for a in [out, *(-v for v in batch)]]
     found = np.empty((2,) * (1 + len(joins) - len(batch)) + (2 ** len(batch),))  # p, norms
-    home, spare = (np.empty(1 << len(axes), complex) for _ in range(2))
-    pending = [(np.ones((), complex), 0, {})]  # (state, plan step, branch values)
+    home, spare = (np.empty(1 << len(axes)) for _ in range(2))
+    pending = [(np.array([1.0, 0.0]), 0, {})]  # (state, plan step, branch values)
     while pending:
         tensor, start, fixed = pending.pop()
         for i in range(start, len(plan)):
-            if isinstance(plan[i], Gate):
-                tensor = _apply(tensor, plan[i], home[:tensor.size], spare)
+            if isinstance(plan[i], _Run):
+                if plan[i].order is None:
+                    tensor = _apply(tensor, plan[i], spare[:tensor.size], run=True)
+                    home, spare = spare, home
+                else:
+                    tensor = _apply(tensor, plan[i], home[:tensor.size], spare,
+                                    run=True, order=plan[i].order)
                 continue
             shape, source = plan[i]
             if isinstance(source, int) and source not in fixed:  # branch on x_source
@@ -393,8 +482,10 @@ def _probabilities(
                                  out=spare[:1 << len(shape)].reshape((2,) * len(shape)))
             home, spare = spare, home
         else:
-            weights = np.abs(tensor, out=spare.view(float)[:tensor.size].reshape(tensor.shape))
-            marginal = np.square(weights, out=weights).sum(axis=summed).reshape(2, -1)
+            lead = min(kept)  # sum the squares over the leading axes, then the rest
+            head = tensor.reshape(1 << lead, -1)
+            tail = np.einsum("ac,ac->c", head, head).reshape(tensor.shape[lead:])
+            marginal = np.einsum(tail, range(tail.ndim), [k - lead for k in kept]).reshape(2, -1)
             found[(slice(None), *fixed.values())] = marginal[1], np.sqrt(marginal.sum(axis=0))
     n = circuit.num_variables
     order = np.argsort(joins[len(batch):] + batch)

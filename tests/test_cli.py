@@ -336,6 +336,39 @@ def test_disagreeing_formula_tests_exit_1(tmp_path, capsys, monkeypatch):
     assert "formula tests disagree" in err
 
 
+def _strict_json(text):
+    """Parse as RFC 8259 JSON: NaN and Infinity are not numbers there."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["appendix", "-n", "16", "-N", "128"],
+    ["equiv", "-n", "16", "-N", "128"],
+    ["warren", "-m", "300", "-t", "300", "--deg", "2"],
+    ["appendix", "-n", "4", "-N", "16"],
+], ids=["appendix", "equiv", "warren", "appendix-small"])
+def test_bounds_past_the_float_range_report_log2_and_null(capsys, argv):
+    code, out, err = run_cli(capsys, "bounds", *argv, "--json")
+    assert code == 0 and "Traceback" not in err
+    payload = _strict_json(out)
+    logs = {key: value for key, value in payload.items() if key.startswith("log2")}
+    assert logs and all(value > 1024 or key == "log2_class_count" for key, value in logs.items())
+    linear = {key: value for key, value in payload.items() if key not in logs and key != "mu"}
+    assert linear and all(value is None for value in linear.values())
+    code, out, _ = run_cli(capsys, "bounds", *argv)
+    assert code == 0 and "2^" in out
+
+
+def test_enumerate_rejects_an_arity_bound_below_one(capsys):
+    for arity in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "-n", "2", "-N", "1", "--qubits", "3", "--arity", arity)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: arity_bound must be at least 1")
+
+
 def test_bounds_missing_arguments_exit_1(capsys):
     code, _, err = run_cli(capsys, "bounds", "warren", "-m", "3")
     assert code == 1

@@ -36,7 +36,10 @@ from qformula.samples import formula_example, nonformula_example, toffoli_and_ci
 from qformula.simulator import (
     SimulationError,
     _apply,
+    _chain,
+    _cone,
     _fused_schedule,
+    _plan,
     _probabilities,
     decide,
     verdict,
@@ -359,13 +362,14 @@ def counted_batches(monkeypatch):
 
 
 def kernel_calls(monkeypatch):
-    """Record (step, state size) of every ``_apply`` call."""
+    """Record (step, amplitudes) of every ``_apply`` call; a real state
+    holds two entries per amplitude."""
     calls = []
     real = simulator._apply
 
-    def counting(tensor, gate, *args):
-        calls.append((gate.step, tensor.size))
-        return real(tensor, gate, *args)
+    def counting(tensor, gate, *args, **kwargs):
+        calls.append((gate.step, tensor.size // (2 if tensor.dtype == float else 1)))
+        return real(tensor, gate, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "_apply", counting)
     return calls
@@ -485,6 +489,37 @@ def test_lines_join_the_pruned_state_at_their_first_block(monkeypatch, make, bud
         joined = 2 ** len({c.labels[q].var for q in lines} - {None})
         runs = [size for step, size in calls if step == block.step]
         assert runs == ([2 ** len(lines)] * joined if budget == 1 else [joined << len(lines)])
+
+
+def test_plan_copies_a_split_block_once_and_chains_the_blocks_after_it():
+    rng = np.random.default_rng(46)
+    c = build_circuit(
+        4, [variable(1), constant(0), constant(1), variable(2)],
+        [((0, 1, 2, 3), random_unitary(16, rng)), ((0, 3), random_unitary(4, rng)),
+         ((3, 0, 1), random_unitary(8, rng)), ((2, 1, 0, 3), random_unitary(16, rng))],
+        output_qubit=2, arity_bound=4,
+    )
+    cone, _ = _cone(c, c.gates)
+    plan, axes = _plan(cone, [1])
+    runs = [step for step in plan if isinstance(step, simulator._Run)]
+    # the first block finds its lines where they joined, the front of
+    # memory, next to the re/im axis; the second, split there by lines 1
+    # and 2, is copied into an order in which it and the two blocks after
+    # it find the re/im axis and their lines adjacent
+    assert [run.order is not None for run in runs] == [False, True, False, False]
+    assert [run.targets for run in runs] == [(0, 1, 2, 3, 4), (0, 1, 2), (0, 1, 2, 3),
+                                             (0, 1, 2, 3, 4)]
+    assert axes == [None, 0, 3, 1, 2, -1]  # x1 is the batch axis, last
+    assert np.max(np.abs(_probabilities(c, c.gates) - probability_vector(c))) <= TOL
+
+
+def test_chain_places_the_planned_lines_midway_and_keeps_the_batch_axes_last():
+    # (0, 5) is split: its run goes midway, the other lines keep their order
+    assert _chain([5, 4, 3, 2, 1, 0, None, -2], [(0, 5)]) == [4, 3, 0, 5, None, 2, 1, -2]
+    # the next block holds line 5, after the re/im axis, and adds line 1;
+    # the one after that misses line 5, so the chain stops
+    order = _chain([5, 4, 3, 2, 1, 0, None], [(0, 5), (5, 1), (1, 3)])
+    assert order == [4, 0, None, 5, 1, 3, 2]
 
 
 @pytest.mark.parametrize("budget", [1, 2 ** 20], ids=["every-variable-branches", "none-branches"])

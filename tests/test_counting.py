@@ -73,6 +73,18 @@ def test_equiv_class_bound_values():
     assert b.power_form >= b.binomial_form
 
 
+def test_bounds_past_the_float_range_are_none_beside_their_log2():
+    assert warren_bound(300, 300, 2) is None
+    assert warren_bound_log2(300, 300, 2) == pytest.approx(300 * math.log2(8 * E), rel=1e-12)
+    classes = equiv_class_bound(CountingParams(n=16, N=128, d=2))
+    assert (classes.binomial_form, classes.power_form) == (None, None)
+    assert classes.log2_binomial_form == pytest.approx(128 * math.log2(math.comb(256, 2)))
+    assert classes.log2_power_form == 2048
+    bound = appendix_bound(CountingParams(n=4, N=16, d=2))
+    assert (bound.sign_factor, bound.total) == (None, None)
+    assert bound.log2_total == pytest.approx(bound.log2_sign_factor + bound.log2_class_count)
+
+
 def test_counting_params_invariants():
     with pytest.raises(ValueError, match="n <= N"):
         CountingParams(n=3, N=2, d=2)

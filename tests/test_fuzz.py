@@ -2,9 +2,11 @@
 
 Random formulas go through ``run``, the batched ``probability_vector``,
 ``to_unitary`` and ``contract_formula``; random general circuits through
-the first three and the pruned, fused state vector (also with every
-variable branching).  All must agree within 1e-12, and ``evaluate``
-must give the verdict of a per-assignment ``run`` scan.
+the first three and the pruned, fused state vector, at fusion widths 2
+to 5 and at budgets where every variable branches, some do, or none
+does; so does one 12-line, 10-variable circuit shaped like the
+benchmark's.  All must agree within 1e-12, and ``evaluate`` must give
+the verdict of a per-assignment ``run`` scan.
 
 Circuit files written by ``write_circuit`` are mutated (keys dropped,
 duplicated or added, values swapped for booleans, huge integers, nested
@@ -44,7 +46,6 @@ from qformula import simulator
 from qformula.gates import random_unitary
 from qformula.samples import formula_example, nonformula_example, two_path_example
 from qformula.simulator import (
-    FUSED_LINES,
     _fused_schedule,
     _probabilities,
     initial_state,
@@ -198,16 +199,43 @@ def test_fuzz_general_circuits_agree_across_simulators(circuit, data):
     for gate in circuit.gates:  # kept exactly when it meets the later kept gates' cone
         cone = {circuit.output_qubit}.union(*(k.targets for k in kept if k.step > gate.step))
         assert any(gate is k for k in kept) != cone.isdisjoint(gate.targets)
-    for cap in (2, FUSED_LINES):
-        with mock.patch.object(simulator, "FUSED_LINES", cap):
-            blocks = _fused_schedule(circuit)
-            assert all(b.arity <= max(cap, 3) for b in blocks)
-            assert np.max(np.abs(_probabilities(circuit, blocks) - by_run)) <= TOL
-            with mock.patch.object(simulator, "PRUNED_AMPLITUDES", 1):  # every variable branches
-                assert np.max(np.abs(_probabilities(circuit, blocks) - by_run)) <= TOL
+    _check_pruned_path(circuit, by_run)
     table = data.draw(st.lists(st.integers(0, 1), min_size=by_run.size, max_size=by_run.size))
     got = evaluate(circuit, table)
     assert (got.status, got.alpha) == _scan(circuit, table)
+
+
+def _check_pruned_path(circuit, expected, budgets=(1, 2 ** 4, 2 ** 15)):
+    """The pruned path agrees with ``expected`` at every fusion width and
+    at budgets where every variable branches, some do, or none does."""
+    for cap, budget in itertools.product((2, 3, 4, 5), budgets):
+        with mock.patch.object(simulator, "FUSED_LINES", cap), \
+                mock.patch.object(simulator, "PRUNED_AMPLITUDES", budget):
+            blocks = _fused_schedule(circuit)
+            assert all(b.arity <= max(cap, 3) for b in blocks)
+            assert np.max(np.abs(_probabilities(circuit, blocks) - expected)) <= TOL
+
+
+@st.composite
+def wide_circuits(draw):
+    """General circuits shaped like the benchmark's: 12 lines, 10
+    variables and two constants in a random order, 60 two-qubit gates on
+    random pairs of lines, a random output line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = [variable(j + 1) for j in range(10)] + [constant(int(b)) for b in rng.integers(0, 2, 2)]
+    specs = [(tuple(int(q) for q in rng.choice(12, size=2, replace=False)), random_unitary(4, rng))
+             for _ in range(60)]
+    circuit = build_circuit(12, [labels[i] for i in rng.permutation(12)], specs,
+                            int(rng.integers(0, 12)))
+    assume(not is_formula(circuit))
+    return circuit
+
+
+@settings(FUZZ, max_examples=1)
+@given(wide_circuits())
+def test_fuzz_wide_general_circuits_on_the_pruned_path(circuit):
+    # at 12 cone lines a budget of 2^4 holds no batch axis, the same as 1
+    _check_pruned_path(circuit, probability_vector(circuit), (1, 2 ** 14, 2 ** 15))
 
 
 @functools.cache
