@@ -263,8 +263,8 @@ def _cmd_bounds(args) -> int:
     if args.bound == "warren":
         if None in (args.m, args.t, args.deg):
             raise ValueError("bounds warren requires -m, -t and --deg")
-        log2 = warren_bound_log2(args.m, args.t, args.deg)
         value = warren_bound(args.m, args.t, args.deg)
+        log2 = warren_bound_log2(args.m, args.t, args.deg)
         _emit(args, {"value": value, "log2": log2}, [f"warren bound = {_power_text(value, log2)}"])
     elif args.bound == "appendix":
         if None in (args.n, args.size):
