@@ -6,8 +6,8 @@ probability p that the output qubit is 1.  A circuit computes a Boolean
 function f when p > 2/3 on every 1-input and p < 1/3 on every 0-input;
 anything in the closed band [1/3, 2/3] is undetermined.
 
-Three paths share one gate kernel, ``_apply``, which acts on the
-leading qubit axes of a tensor and leaves any trailing batch axes alone:
+Three paths share one gate kernel, ``_apply``, which acts on some
+qubit axes of a tensor and leaves the others and any batch axes alone:
 
 * The step-order state vector (``run``, ``probability_vector``,
   ``final_states``) holds 2^m amplitudes per assignment and applies
