@@ -47,10 +47,18 @@ def _linear(log2: float) -> float | None:
 
 def warren_bound_log2(m: int, t: int, deg: int) -> float:
     """log2 of (4 e deg m / t)^t, the sign-assignment cap for m
-    degree-deg polynomials in t real variables."""
+    degree-deg polynomials in t real variables; ValueError when that
+    log2 is itself past the float range."""
     if min(m, t, deg) < 1:
         raise ValueError(f"m, t, deg must be positive, got {(m, t, deg)}")
-    return t * (math.log2(4.0 * E) + math.log2(deg) + math.log2(m) - math.log2(t))
+    try:  # t may be an int past the float range
+        log2 = t * (math.log2(4.0 * E) + math.log2(deg) + math.log2(m) - math.log2(t))
+    except OverflowError:
+        log2 = math.inf
+    if not math.isfinite(log2):
+        logs = ", ".join(f"{math.log2(v):.6g}" for v in (m, t, deg))
+        raise ValueError(f"Warren bound's log2 past the float range at log2 (m, t, deg) = ({logs})")
+    return log2
 
 
 def warren_bound(m: int, t: int, deg: int) -> float | None:
@@ -105,7 +113,12 @@ def _power(base: int, exponent: int) -> tuple[float, float | None]:
 
 def equiv_class_bound(params: CountingParams) -> EquivClassBound:
     dn = params.d * params.N
-    log2_binom, binom = _power(math.comb(params.n_prime, params.d), params.N)
+    k = min(params.d, params.n_prime - params.d)
+    if k < 1024:
+        log2_binom, binom = _power(math.comb(params.n_prime, params.d), params.N)
+    else:  # C(n', k) > 2^1023, with millions of digits at k = 10^6: summed in log2
+        terms = (math.log2((params.n_prime - i) / (k - i)) for i in range(k))
+        log2_binom, binom = params.N * math.fsum(terms), None
     log2_power, power = _power(dn, dn)
     return EquivClassBound(binom, power, log2_binom, log2_power)
 
@@ -295,10 +308,7 @@ def enumerate_functions(
         for targets in itertools.permutations(range(num_qubits), arity):
             placements.append((matrix, targets))
     # every placement as the gate of each slot, built once
-    slots = [
-        [Gate(step=i + 1, targets=t, matrix=m) for m, t in placements]
-        for i in range(num_gates)
-    ]
+    slots = [[Gate(i + 1, t, m) for m, t in placements] for i in range(num_gates)]
     # the axes summed out to leave each output line's marginal
     others = [tuple(a for a in range(num_qubits) if a != q) for q in range(num_qubits)]
 
@@ -309,13 +319,7 @@ def enumerate_functions(
         if {lb.var for lb in labels if lb.var is not None} != set(range(1, n + 1)):
             continue
         for gates in itertools.product(*slots):
-            base = Circuit(
-                num_qubits=num_qubits,
-                labels=labels,
-                gates=gates,
-                output_qubit=0,
-                arity_bound=max(arity_bound, 1),
-            )
+            base = Circuit(num_qubits, labels, gates, 0, arity_bound)
             # one batch of final states serves every output-line choice,
             # and one threshold call decides all of them
             weights = np.abs(final_states(base, 0, 2 ** n)) ** 2
@@ -324,9 +328,4 @@ def enumerate_functions(
             scanned += num_qubits
             undetermined += num_qubits - int(determined.sum())
             found.update("".join(map(str, row)) for row in decided[determined])
-    return EnumerationResult(
-        n=n,
-        tables=tuple(sorted(found)),
-        circuits_scanned=scanned,
-        undetermined_circuits=undetermined,
-    )
+    return EnumerationResult(n, tuple(sorted(found)), scanned, undetermined)

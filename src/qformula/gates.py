@@ -94,19 +94,19 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def capped_matmul(matrix: np.ndarray, flat: np.ndarray, out=None) -> np.ndarray:
-    """``matrix @ flat`` (square matrix; ``flat`` a matrix or a stack of
-    them), written to ``out`` when given.  A product over a
-    ``BLAS_SLICE_MACS`` cap goes as one stack of column slices, as wide
-    as fits (at least one column)."""
+    """``matrix @ flat`` (``flat`` a matrix or a stack of them), written
+    to ``out`` when given; the result has ``matrix``'s row count.  A
+    product over a ``BLAS_SLICE_MACS`` cap goes as one stack of column
+    slices, as wide as fits (at least one column)."""
     *lead, dim, cols = flat.shape
-    if BLAS_SLICE_MACS is None or dim * dim * cols <= BLAS_SLICE_MACS:
+    rows = len(matrix)
+    if BLAS_SLICE_MACS is None or rows * dim * cols <= BLAS_SLICE_MACS:
         return np.matmul(matrix, flat, out=out)
-    width = math.gcd(cols, max(1, BLAS_SLICE_MACS // dim ** 2))
-    shape = (*lead, dim, cols // width, width)
+    width = math.gcd(cols, max(1, BLAS_SLICE_MACS // (rows * dim)))
     if out is None:
-        out = np.empty(flat.shape, np.result_type(matrix, flat))
-    np.matmul(matrix, np.swapaxes(flat.reshape(shape), -3, -2),
-              out=np.swapaxes(out.reshape(shape), -3, -2))
+        out = np.empty((*lead, rows, cols), np.result_type(matrix, flat))
+    np.matmul(matrix, np.swapaxes(flat.reshape(*lead, dim, cols // width, width), -3, -2),
+              out=np.swapaxes(out.reshape(*lead, rows, cols // width, width), -3, -2))
     return out
 
 

@@ -6,15 +6,15 @@ probability p that the output qubit is 1.  A circuit computes a Boolean
 function f when p > 2/3 on every 1-input and p < 1/3 on every 0-input;
 anything in the closed band [1/3, 2/3] is undetermined.
 
-Three paths share one gate kernel, ``_apply``, which acts on some
-qubit axes of a tensor and leaves the others and any batch axes alone:
+Three paths push the assignments through in batches of at most
+``CHUNK_AMPLITUDES`` (2^15) amplitudes, all products through
+``gates.capped_matmul``:
 
 * The step-order state vector (``run``, ``probability_vector``,
   ``final_states``) holds 2^m amplitudes per assignment and applies
-  every gate in step order, never reordering commuting gates, so it is
-  the trusted oracle for the rewrite passes and for the two fast paths
-  below.  ``probability_vector`` pushes the assignments through in
-  batches of at most ``CHUNK_AMPLITUDES`` (2^13) amplitudes.
+  every gate in step order with the gate kernel ``_apply``, never
+  reordering commuting gates, so it is the trusted oracle for the
+  rewrite passes and for the two fast paths below.
 * The pruned, fused state vector keeps only the output line's backward
   light cone, the computation graph's gates (a dropped gate commutes
   past every kept one and never acts on the output line, so p is
@@ -24,31 +24,30 @@ qubit axes of a tensor and leaves the others and any batch axes alone:
   a copy of its variable; a variable joins the scan with its first
   line, so earlier blocks run once for both of its values, and p is
   broadcast over the variables off the cone.  The first variables to
-  join are batch axes, as many as fit ``PRUNED_AMPLITUDES`` (2^15)
-  amplitudes; at each later one the state is saved (each saved state is
-  at least twice the one before) and the rest runs once per value.
+  join are batch axes, as many as fit the budget; at each later one the
+  state is saved (each saved state is at least twice the one before)
+  and the rest runs once per value.
   The state is real: float64 with one more axis, re/im, and each
   block's matrix U is realified once, as [[Re U, -Im U], [Im U, Re U]]
   over (re/im, its lines).  The plan fixes the state's memory order of
   axes at every step.  A block whose re/im axis and lines sit next to
-  each other runs as one batched real product, from one buffer into
-  the other; any other block's input is first copied into an order in
-  which the blocks after it also find theirs adjacent, as far as one
-  order allows.  p is one sum of squares over the state, in memory
-  order.
+  each other runs as one batched real product (``_run_block``), from
+  one buffer into the other; any other block's input is first copied
+  into an order in which the blocks after it also find theirs adjacent,
+  as far as one order allows.  p is one sum of squares over the state,
+  in memory order.
 * The tree contraction (``contract_formula``) needs a formula.  Each
-  gate of the computation graph combines its children's reduced density
-  matrices with the basis states of its bare input lines, applies
-  U rho U^dagger and traces out the lines that do not go to its parent;
-  gates outside the graph drop out.  Messages have at most 2^k x 2^k
-  entries for a k-qubit gate, whatever the line count; a batch keeps at
-  most ``CHUNK_AMPLITUDES`` entries at once.
+  gate of the computation graph joins its children's reduced density
+  matrices and its bare input lines' basis states into its input rho;
+  gates outside the graph drop out.  Its message, U rho U^dagger traced
+  down to the up-lines (those that go to its parent), is two products:
+  U rho, then conj(U) times that, the trace being the sum over their
+  shared inner axis.  A k-qubit gate's message has at most 4^k entries.
 
 Both state vectors are capped at ``max_qubits`` lines: the step-order
-one counts all of the circuit's lines, the pruned one its cone's.  The
-kernel's products go through ``gates.capped_matmul``, which hands BLAS
-no product of more than ``BLAS_SLICE_MACS`` multiply-adds in one call
-when BLAS may run on more than one thread.
+one counts all of the circuit's lines, the pruned one its cone's.
+``capped_matmul`` hands BLAS no product of more than ``BLAS_SLICE_MACS``
+multiply-adds in one call when BLAS may run on more than one thread.
 
 ``evaluate`` dispatches on ``is_formula``: formulas take the
 contraction, everything else the pruned, fused state vector.  Either
@@ -76,13 +75,12 @@ DEFAULT_MAX_QUBITS = 20
 NORM_TOL = 1e-10
 # p this close to 1/3 or 2/3 is re-decided by the state vector
 BOUNDARY_TOL = 1e-12
-# complex numbers a batch of assignments may hold: one state-vector array
-# of the step-order oracle, or everything a tree contraction keeps at
-# once.  At 2^13 (128 KiB) a batch stays in cache.
-CHUNK_AMPLITUDES = 2 ** 13
-# the same for the pruned state vector's state and kernel scratch; 2^15 ran
-# faster than 2^13 or 2^14 at 12 lines, and 2^16 held 1.5 MB more at peak.
-PRUNED_AMPLITUDES = 2 ** 15
+# amplitudes a batch of assignments may hold, on every batched path: one
+# state array of either state vector (each with a scratch of the same
+# size), or everything a tree contraction keeps at once.  2^15 ran the
+# pruned path faster than 2^13 or 2^14 at 12 lines, the contraction about
+# 2.5x faster than 2^13 on a 64-line formula; 2^16 held 1.5 MB more at peak.
+CHUNK_AMPLITUDES = 2 ** 15
 # lines a fused block of the pruned state vector may act on: a k-line
 # block costs 2^(k+1) real multiply-adds per entry, against 2^(a+1) for
 # each of the a-qubit gates it replaces.  4 ran faster than 3 or 5 on
@@ -97,30 +95,17 @@ class SimulationError(ValueError):
     """Inputs to the simulator are malformed."""
 
 
-def _apply(tensor: np.ndarray, gate, out=None, scratch=None, *, run=False, order=None) -> np.ndarray:
-    """The gate kernel: act on the qubit axes ``gate.targets``.
+def _apply(tensor: np.ndarray, gate, out=None, scratch=None) -> np.ndarray:
+    """The gate kernel: apply ``gate`` to the qubit axes ``gate.targets``.
 
-    ``tensor`` has one axis of size 2 per qubit followed by any number
+    ``tensor``, complex, has one axis of size 2 per qubit followed by any number
     of batch axes, which pass through untouched.  The result is written
     to ``out`` when given: a contiguous array of the tensor's size, which
     may be the very buffer ``tensor`` views.  The targets-first copy of
     the input goes to ``scratch`` when given (a flat array the caller
     owns, at least the tensor's size), else to a new array.  Products go
     through ``capped_matmul``.
-
-    The pruned plan passes ``run``: its contiguous tensor has axes of
-    size 2 only, and ``gate.targets`` are adjacent axes a..a+k-1 once it
-    is copied to ``scratch`` in the axis order ``order`` (when given).
-    The product is one batched (2^a, 2^k, rest) matmul into ``out``, a
-    buffer other than the input's, in that same axis order.
     """
-    if run:
-        if order is not None:
-            front = tensor.transpose(order)
-            tensor = scratch[:tensor.size].reshape(front.shape)
-            np.copyto(tensor, front)
-        view = tensor.reshape(1 << gate.targets[0], 1 << len(gate.targets), -1)
-        return capped_matmul(gate.matrix, view, out.reshape(view.shape)).reshape(tensor.shape)
     to_front, back = _axis_orders(gate.targets, tensor.ndim)
     front = tensor.transpose(to_front)
     if scratch is not None:
@@ -441,6 +426,22 @@ def _plan(cone: Circuit, batch: list[int]) -> tuple[list, list]:
     return plan, axes
 
 
+def _run_block(tensor: np.ndarray, block: _Run, home: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """One block of the pruned plan on its real state in ``home``, whose
+    axes all have size 2.  Copied to ``spare`` in the axis order
+    ``block.order`` unless that is None, the state has the block's axes
+    adjacent, a..a+k-1, and the block is one batched (2^a, 2^k, rest)
+    product into the other buffer: ``spare``, or ``home`` after a copy."""
+    if block.order is not None:
+        front = tensor.transpose(block.order)
+        tensor = spare[:tensor.size].reshape(front.shape)
+        np.copyto(tensor, front)
+        home, spare = spare, home
+    view = tensor.reshape(1 << block.targets[0], 1 << len(block.targets), -1)
+    out = spare[:tensor.size].reshape(view.shape)
+    return capped_matmul(block.matrix, view, out).reshape(tensor.shape)
+
+
 def _probabilities(
     circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
@@ -453,7 +454,7 @@ def _probabilities(
     m, out = cone.num_qubits, cone.output_qubit
     lines = dict.fromkeys([q for g in cone.gates for q in g.targets] + [out])
     joins = [v for v in dict.fromkeys(cone.labels[q].var for q in lines) if v is not None]
-    batch = joins[:max(0, (PRUNED_AMPLITUDES >> m).bit_length() - 1)]
+    batch = joins[:max(0, (CHUNK_AMPLITUDES >> m).bit_length() - 1)]
     plan, axes = _plan(cone, batch)
     kept = [axes.index(a) for a in [out, *(-v for v in batch)]]
     found = np.empty((2,) * (1 + len(joins) - len(batch)) + (2 ** len(batch),))  # p, norms
@@ -463,12 +464,9 @@ def _probabilities(
         tensor, start, fixed = pending.pop()
         for i in range(start, len(plan)):
             if isinstance(plan[i], _Run):
-                if plan[i].order is None:
-                    tensor = _apply(tensor, plan[i], spare[:tensor.size], run=True)
+                tensor = _run_block(tensor, plan[i], home, spare)
+                if plan[i].order is None:  # the state moved to spare
                     home, spare = spare, home
-                else:
-                    tensor = _apply(tensor, plan[i], home[:tensor.size], spare,
-                                    run=True, order=plan[i].order)
                 continue
             shape, source = plan[i]
             if isinstance(source, int) and source not in fixed:  # branch on x_source
@@ -506,19 +504,18 @@ class _Node:
 
     ``build`` is the einsum that joins the children's messages and the
     bare lines' basis vectors (each given twice: rows, then columns)
-    into the gate's input density matrix; ``row`` and ``col`` apply U
-    and its conjugate to its row and column axes; ``trace`` reduces the
-    result to the lines that go to the parent (None when all of them do),
-    a message of ``size`` entries per assignment.
+    into the gate's input density matrix rho over its targets.
+    ``matrix`` is U, its rows reordered up-lines first; ``adjoint`` is
+    its conjugate as 2^up rows.  The message is ``adjoint`` times
+    (``matrix`` rho) split as (up-lines, rest): U rho U^dagger, traced
+    down to the up-lines by the sum over the shared inner axis.
     """
 
     children: tuple[int, ...]
     bare: tuple[int, ...]
     build: str
-    row: Gate
-    col: Gate
-    trace: str | None
-    size: int
+    matrix: np.ndarray
+    adjoint: np.ndarray
 
 
 def _schedule(circuit: Circuit) -> tuple[_Node, ...]:
@@ -543,15 +540,14 @@ def _schedule(circuit: Circuit) -> tuple[_Node, ...]:
         operands = [axes(graph.up_lines[graph.gate_steps[c]]) for c in children]
         operands += [f"{side[q]}..." for q in bare for side in (row, col)]
         up = graph.up_lines[step]
-        traced = "".join(row.values()) + "".join((col if q in up else row)[q] for q in gate.targets)
+        rows = sorted(range(k), key=lambda i: gate.targets[i] not in up)  # up-lines first, in order
+        matrix = gate.matrix.reshape((2,) * k + (-1,)).transpose(*rows, k).reshape(2 ** k, -1)
         nodes.append(_Node(
             children=tuple(children),
             bare=tuple(bare),
             build=",".join(operands) + "->" + axes(gate.targets),
-            row=Gate(step, tuple(range(k)), gate.matrix),
-            col=Gate(step, tuple(range(k, 2 * k)), gate.matrix.conj()),
-            trace=None if len(up) == k else traced + "...->" + axes(up),
-            size=4 ** len(up),
+            matrix=matrix,
+            adjoint=matrix.conj().reshape(2 ** len(up), -1),
         ))
     return tuple(nodes)
 
@@ -562,8 +558,8 @@ def contract_formula(circuit: Circuit) -> np.ndarray:
     Indexed like ``probability_vector``; there is no line cap.  The
     assignments go through in batches that hold at most
     ``CHUNK_AMPLITUDES`` entries at any time (pending messages, plus the
-    current gate's input and the kernel's copy of it), and the trace of
-    every root message is checked.  Raises NotAFormulaError on a
+    current gate's rho and U rho, or U rho and its message), and the
+    trace of every root message is checked.  Raises NotAFormulaError on a
     non-formula.
     """
     circuit.check()
@@ -574,8 +570,8 @@ def contract_formula(circuit: Circuit) -> np.ndarray:
         return _line_values(circuit, 0, 2 ** n)[circuit.output_qubit].astype(float)
     pending = peak = 0
     for node in nodes:
-        peak = max(peak, pending + 2 * 4 ** node.row.arity)
-        pending += node.size - sum(nodes[c].size for c in node.children)
+        peak = max(peak, pending + 2 * len(node.matrix) ** 2)
+        pending += len(node.adjoint) ** 2 - sum(len(nodes[c].adjoint) ** 2 for c in node.children)
     batch = max(1, CHUNK_AMPLITUDES // peak)
     out = np.empty(2 ** n)
     for lo in range(0, 2 ** n, batch):
@@ -585,13 +581,16 @@ def contract_formula(circuit: Circuit) -> np.ndarray:
         for node in nodes:
             operands = [messages[c] for c in node.children]
             for q in node.bare:
-                basis = np.stack([1 - values[q], values[q]]).astype(complex)
-                operands += [basis, basis]
+                operands += [_BASIS[values[q]].T] * 2
             for c in node.children:
                 messages[c] = None  # consumed
-            joint = np.einsum(node.build, *operands)
-            rho = _apply(_apply(joint, node.row, joint), node.col, joint)
-            messages.append(rho if node.trace is None else np.einsum(node.trace, rho))
+            rho = np.einsum(node.build, *operands).reshape(len(node.matrix), -1)
+            left = capped_matmul(node.matrix, rho)
+            del rho  # released before the second product
+            up = len(node.adjoint)
+            message = capped_matmul(node.adjoint, left.reshape(up, -1, hi - lo))
+            del left  # and U rho before the next node's
+            messages.append(message.reshape((2,) * 2 * (up.bit_length() - 1) + (hi - lo,)))
         root = messages[-1]
         _check_drift((root[0, 0] + root[1, 1]).real, lo, n, "root trace")
         out[lo:hi] = root[1, 1].real

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qformula
 
@@ -472,3 +476,47 @@ def test_ed_check_and_emit_build_the_table_once(tmp_path, capsys, monkeypatch):
     built.clear()
     assert run_cli(capsys, "ed", "--ell", "3")[0] == 0
     assert built == []  # neither flag: no table
+
+
+# every integer option of every subcommand that takes one, drawn from
+# small values, 0, negatives, 600 and +-10^6, or left out; verify-lemmas
+# costs time linear in --cases, so that one is drawn small
+_INTS = st.none() | st.integers(-3, 12) | st.sampled_from([-10 ** 6, 600, 10 ** 6])
+_INT_OPTIONS = {
+    ("ed",): {"--ell": _INTS},
+    ("bounds", "warren"): {"-m": _INTS, "-t": _INTS, "--deg": _INTS},
+    ("bounds", "appendix"): {"-n": _INTS, "-N": _INTS, "-d": _INTS},
+    ("bounds", "equiv"): {"-n": _INTS, "-N": _INTS, "-d": _INTS, "--n-prime": _INTS},
+    ("enumerate",): {"-n": _INTS, "-N": _INTS, "--qubits": _INTS, "--arity": _INTS},
+    ("verify-lemmas",): {"--seed": _INTS, "--cases": st.none() | st.integers(-3, 4)},
+}
+
+
+@st.composite
+def integer_argv(draw):
+    command = draw(st.sampled_from(sorted(_INT_OPTIONS)))
+    argv = list(command)
+    for option, values in _INT_OPTIONS[command].items():
+        value = draw(values)
+        argv += [] if value is None else [option, str(value)]
+    if command == ("ed",) and draw(st.booleans()):
+        argv.append("--check")
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_argv())
+@example(["bounds", "appendix", "-n", "1", "-N", "1", "-d", "600"])
+@example(["bounds", "appendix", "-n", "1", "-N", "1", "-d", "1000000", "--json"])
+@example(["bounds", "equiv", "-n", "1", "-N", "1000000", "-d", "1000000", "--json"])
+def test_integer_options_exit_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)  # any other exception fails the test: a traceback
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv and (code == 0 or out.getvalue()):
+        _strict_json(out.getvalue())

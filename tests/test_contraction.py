@@ -31,7 +31,7 @@ from qformula import (
     variable,
 )
 from qformula import simulator
-from qformula.gates import CNOT, H, SWAP, TOFFOLI, random_unitary
+from qformula.gates import CNOT, H, SWAP, TOFFOLI, capped_matmul, random_unitary
 from qformula.samples import formula_example, nonformula_example, toffoli_and_circuit
 from qformula.simulator import (
     SimulationError,
@@ -191,6 +191,33 @@ def test_contraction_chunks_agree(monkeypatch):
     assert np.max(np.abs(whole - run_probabilities(c))) <= TOL
 
 
+@pytest.mark.parametrize("budget", [16, 2 ** 8, 2 ** 15])
+def test_contraction_matches_the_oracle_at_every_budget(monkeypatch, corpus, budget):
+    rng = np.random.default_rng(47)
+    u = lambda: random_unitary(4, rng)
+    # line 1, each gate's second target, is the one that goes to the parent
+    second_target = build_circuit(
+        4, [variable(1), variable(2), constant(1), variable(3)],
+        [((0, 1), u()), ((2, 1), u()), ((3, 1), u())], output_qubit=1,
+    )
+    # both lines of the first gate go to the second: up = k = 2
+    double_edge = build_circuit(
+        3, [variable(1), variable(2), variable(3)],
+        [((0, 1), u()), ((1, 0), u()), ((2, 0), u())], output_qubit=2,
+    )
+    assert computation_graph(second_target).up_lines[1] == (1,)
+    assert computation_graph(double_edge).up_lines[1] == (0, 1)
+    squeezed = [squeeze_all(restrict(m.formula, m.block, m.restriction), m.block).circuit
+                for m in corpus[:12]]
+    assert any(g.arity == 6 for c in squeezed for g in c.gates)
+    circuits = [second_target, double_edge, *squeezed]
+    expected = [probability_vector(c) for c in circuits]
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+    for circuit, p in zip(circuits, expected):
+        assert is_formula(circuit)
+        assert np.max(np.abs(contract_formula(circuit) - p)) <= TOL
+
+
 def test_batched_state_vector_spans_several_chunks():
     rng = np.random.default_rng(21)
     for m, n in ((12, 5), (11, 6), (13, 4)):
@@ -274,18 +301,28 @@ def test_gates_after_the_last_one_on_the_cone_are_dropped():
     assert np.max(np.abs(fused_probabilities(c) - probability_vector(c))) <= TOL
 
 
-@pytest.mark.parametrize("cap", [1, 16, 64])
+@pytest.mark.parametrize("cap", [1, 16, 64, pytest.param(2 ** 10, id="non-square")])
 def test_sliced_kernel_matches_the_unsliced_kernel(monkeypatch, cap):
     rng = np.random.default_rng(34)
     tensor = rng.normal(size=[2] * 6 + [3, 4]) + 1j * rng.normal(size=[2] * 6 + [3, 4])
     gates = [Gate(1, targets, random_unitary(2 ** len(targets), rng))
              for targets in ((0,), (5,), (2, 4), (4, 2), (0, 1), (3, 1, 5), (0, 1, 2))]
     whole = [_apply(tensor, g) for g in gates]
+    # the contraction's second product: conj(U) as 2^up rows times a stack over the up-lines
+    adjoint = random_unitary(16, rng).conj().reshape(2, 128)
+    stack = rng.normal(size=(2, 128, 24)) + 1j * rng.normal(size=(2, 128, 24))
+    product = capped_matmul(adjoint, stack)
     monkeypatch.setattr("qformula.gates.BLAS_SLICE_MACS", cap)
     for gate, expected in zip(gates, whole):
         assert np.max(np.abs(_apply(tensor, gate) - expected)) <= 1e-15
         buffer = tensor.copy()  # written in place, as the batched paths do
         assert np.max(np.abs(_apply(buffer, gate, buffer) - expected)) <= 1e-15
+    out = np.empty_like(product)
+    assert capped_matmul(adjoint, stack, out) is out and out.shape == (2, 2, 24)
+    if cap >= 4 * adjoint.size:  # slices of 4 or more columns run the whole product's kernel
+        assert np.array_equal(out, product)
+    else:  # 1-column slices may round differently
+        assert np.max(np.abs(out - product)) <= 1e-14
 
 
 def test_sliced_kernel_keeps_every_simulator_on_the_oracle(monkeypatch):
@@ -362,16 +399,16 @@ def counted_batches(monkeypatch):
 
 
 def kernel_calls(monkeypatch):
-    """Record (step, amplitudes) of every ``_apply`` call; a real state
+    """Record (step, amplitudes) of every pruned block run; a real state
     holds two entries per amplitude."""
     calls = []
-    real = simulator._apply
+    real = simulator._run_block
 
     def counting(tensor, gate, *args, **kwargs):
         calls.append((gate.step, tensor.size // (2 if tensor.dtype == float else 1)))
         return real(tensor, gate, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "_apply", counting)
+    monkeypatch.setattr(simulator, "_run_block", counting)
     return calls
 
 
@@ -384,12 +421,12 @@ def test_pruned_path_matches_the_oracle_at_every_batch_size(monkeypatch, seed, p
     lines = {q for b in blocks for q in b.targets} | {c.output_qubit}
     scanned = 2 ** len({c.labels[q].var for q in lines} - {None})
     calls = kernel_calls(monkeypatch)
-    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", per_batch << len(lines))
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", per_batch << len(lines))
     assert np.max(np.abs(_probabilities(c, blocks) - expected)) <= TOL
     # no state exceeds the budget; the last block, on every cone line,
     # holds min(per_batch, scanned) assignments as batch axes and runs
     # once per value of the variables that branch
-    assert max(size for _, size in calls) <= simulator.PRUNED_AMPLITUDES
+    assert max(size for _, size in calls) <= simulator.CHUNK_AMPLITUDES
     last = [size for step, size in calls if step == blocks[-1].step]
     assert last == [min(per_batch, scanned) << len(lines)] * max(1, scanned // per_batch)
 
@@ -416,14 +453,13 @@ def test_pruned_path_scans_only_the_cone_variables(monkeypatch):
     assert np.max(np.abs(fused_probabilities(c) - p)) <= TOL
     assert np.array_equal(p.reshape(2, 2, 2)[:, 0], p.reshape(2, 2, 2)[:, 1])  # not on x2
     calls = kernel_calls(monkeypatch)
-    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", 2 ** 4)  # the 4 cone lines, no batch
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 2 ** 4)  # the 4 cone lines, no batch
     table = (p > 0.5).astype(int)
     for bits in (table, 1 - table):
         calls.clear()
         got = evaluate(c, bits)
-        # the one block runs over x1 and x3, not 8 times over x1, x2 and x3;
-        # fusing it acts on a 2^4 x 2^4 identity, 2^8 entries
-        assert [call for call in calls if call[1] < 2 ** 8] == [(5, 2 ** 4)] * 4
+        # the one block runs over x1 and x3, not 8 times over x1, x2 and x3
+        assert calls == [(5, 2 ** 4)] * 4
         assert (got.status, got.alpha) == scan_verdict(c, bits)[:2]
     batches = counted_batches(monkeypatch)
     probability_vector(c)
@@ -479,7 +515,7 @@ def test_lines_join_the_pruned_state_at_their_first_block(monkeypatch, make, bud
     monkeypatch.setattr(simulator, "FUSED_LINES", 2)  # one block per gate
     blocks = _fused_schedule(c)
     calls = kernel_calls(monkeypatch)
-    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", budget)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
     assert np.max(np.abs(_probabilities(c, blocks) - expected)) <= TOL
     # block i acts on the lines joined so far and once per value of the
     # variables joined so far: as many runs when they branch, one run
@@ -526,7 +562,7 @@ def test_chain_places_the_planned_lines_midway_and_keeps_the_batch_axes_last():
 def test_lazy_path_names_the_first_drifting_assignment_at_any_budget(monkeypatch, budget):
     c = lines_joining_late()
     _force_matrix(c, 2, c.gates[2].matrix @ np.diag([1, 1, 0.5, 0.5]))  # line 3 is 1: x1 = 1
-    monkeypatch.setattr(simulator, "PRUNED_AMPLITUDES", budget)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
     with pytest.raises(SimulationError, match="state norm drifted .* at assignment 100"):
         fused_probabilities(c)
 
@@ -736,12 +772,15 @@ def _force_matrix(circuit, index, matrix):
     object.__setattr__(circuit.gates[index], "matrix", np.asarray(matrix, dtype=complex))
 
 
-def test_contraction_raises_on_root_trace_drift():
+def test_contraction_raises_on_root_trace_drift(monkeypatch):
     c = build_circuit(
         3, [variable(1), variable(2), constant(0)], [((0, 2), CNOT), ((1, 2), CNOT)],
         output_qubit=2,
     )
     _force_matrix(c, 1, np.diag([1, 1, 1, 1.5]) @ CNOT)  # grows only when x2 = 1
+    with pytest.raises(SimulationError, match="root trace drifted .* at assignment 01"):
+        contract_formula(c)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 16)  # one assignment per batch
     with pytest.raises(SimulationError, match="root trace drifted .* at assignment 01"):
         contract_formula(c)
     with pytest.raises(SimulationError, match="root trace drifted"):

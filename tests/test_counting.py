@@ -85,6 +85,32 @@ def test_bounds_past_the_float_range_are_none_beside_their_log2():
     assert bound.log2_total == pytest.approx(bound.log2_sign_factor + bound.log2_class_count)
 
 
+def test_a_log2_past_the_float_range_is_a_value_error_naming_the_sizes():
+    # t = 2 mu = 2^1201 is past the float range, and so is t log2(...)
+    with pytest.raises(ValueError, match=r"float range at log2 \(m, t, deg\) = \(2, 1201, 0\)"):
+        appendix_bound(CountingParams(n=1, N=1, d=600))
+    with pytest.raises(ValueError, match="past the float range"):
+        warren_bound_log2(3, 10 ** 400, 2)
+    assert appendix_bound(CountingParams(n=1, N=1, d=300)).log2_sign_factor > -math.inf
+
+
+@pytest.mark.parametrize("n_prime, d", [(2100, 1023), (2100, 1024), (5000, 1500), (3000, 2000)])
+def test_binomial_form_in_log2_past_1024_choices(n_prime, d):
+    # past min(d, n' - d) = 1024 the binomial is summed in log2, never built
+    classes = equiv_class_bound(CountingParams(n=1, N=3, d=d, n_prime=n_prime))
+    assert classes.binomial_form is None
+    assert classes.log2_binomial_form == pytest.approx(
+        3 * math.log2(math.comb(n_prime, d)), rel=1e-14)
+
+
+def test_binomial_form_at_a_million_choices_is_quick():
+    # C(10^12, 10^6) has 6.4 million digits; its log2 from lgamma instead
+    n, k = 10 ** 12, 10 ** 6
+    log2_choose = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+    classes = equiv_class_bound(CountingParams(n=1, N=10 ** 6, d=10 ** 6))
+    assert classes.log2_binomial_form == pytest.approx(10 ** 6 * log2_choose, rel=1e-8)
+
+
 def test_counting_params_invariants():
     with pytest.raises(ValueError, match="n <= N"):
         CountingParams(n=3, N=2, d=2)

@@ -210,7 +210,7 @@ def _check_pruned_path(circuit, expected, budgets=(1, 2 ** 4, 2 ** 15)):
     at budgets where every variable branches, some do, or none does."""
     for cap, budget in itertools.product((2, 3, 4, 5), budgets):
         with mock.patch.object(simulator, "FUSED_LINES", cap), \
-                mock.patch.object(simulator, "PRUNED_AMPLITUDES", budget):
+                mock.patch.object(simulator, "CHUNK_AMPLITUDES", budget):
             blocks = _fused_schedule(circuit)
             assert all(b.arity <= max(cap, 3) for b in blocks)
             assert np.max(np.abs(_probabilities(circuit, blocks) - expected)) <= TOL
