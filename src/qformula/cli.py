@@ -69,6 +69,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)  # argparse turns a ValueError into a usage error
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
@@ -386,7 +393,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--block", help="block variables, e.g. '1,2' (default: all)")
     p.add_argument("--rho", help="outside assignment, e.g. '3=0,4=1'")
     p.add_argument("-o", "--output", help="write the squeezed circuit here")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--no-verify", action="store_true")
 
     p = add("nechiporuk", _cmd_nechiporuk, help="subfunction counts and the size bound")

@@ -112,14 +112,22 @@ def _power(base: int, exponent: int) -> tuple[float, float | None]:
 
 
 def equiv_class_bound(params: CountingParams) -> EquivClassBound:
+    """Both wiring-class counts; ValueError when a log2 is past the float range."""
     dn = params.d * params.N
     k = min(params.d, params.n_prime - params.d)
-    if k < 1024:
-        log2_binom, binom = _power(math.comb(params.n_prime, params.d), params.N)
-    else:  # C(n', k) > 2^1023, with millions of digits at k = 10^6: summed in log2
-        terms = (math.log2((params.n_prime - i) / (k - i)) for i in range(k))
-        log2_binom, binom = params.N * math.fsum(terms), None
-    log2_power, power = _power(dn, dn)
+    try:  # n' and dN may be ints past the float range
+        if k < 1024:
+            log2_binom, binom = _power(math.comb(params.n_prime, params.d), params.N)
+        else:  # C(n', k) > 2^1023, with millions of digits at k = 10^6: its log2 from lgamma
+            n = params.n_prime
+            ln_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            log2_binom, binom = params.N * ln_binom / math.log(2), None
+        log2_power, power = _power(dn, dn)
+    except OverflowError:
+        log2_binom = log2_power = math.inf
+    if math.inf in (log2_binom, log2_power):
+        logs = ", ".join(f"{math.log2(v):.6g}" for v in (params.n_prime, params.d, params.N))
+        raise ValueError(f"wiring classes' log2 past the float range at log2 (n', d, N) = ({logs})")
     return EquivClassBound(binom, power, log2_binom, log2_power)
 
 
@@ -148,6 +156,10 @@ class AppendixBound:
 def appendix_bound(params: CountingParams) -> AppendixBound:
     """Evaluate (4 e N^2 2^(n+1) / (2 mu))^(2 mu) and attach the wiring
     class count; everything is computed in log2 space."""
+    log2_t = 2 * params.d + 1 + math.log2(params.N)  # t = 2 mu, not built past 2^1024
+    if log2_t >= 1024:
+        logs = f"{params.n + 1:.6g}, {log2_t:.6g}, {2 * math.log2(params.N):.6g}"
+        raise ValueError(f"Warren bound's log2 past the float range at log2 (m, t, deg) = ({logs})")
     mu = params.mu
     log2_sign = warren_bound_log2(
         m=2 ** (params.n + 1), t=2 * mu, deg=params.N ** 2

@@ -21,10 +21,9 @@ moves behind the segment, so squeezing can drop it.  ``squeeze_path``
 runs it, and the lemma sweep ``verification.sweep_postponement``
 checks it.
 
-The composite gate realizes the segment's action in an orthonormal
-basis of the at-most-16 states the companion register can reach; the
-remaining matrix columns are completed deterministically and are never
-excited by valid inputs.
+The composite gate realizes the segment's action in an SVD basis of
+the at-most-16 states the companion register can reach; the other
+columns come from one QR factorization and are never excited.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensor import _gram_schmidt, expansion_coefficients
 from .analysis import (
     CompanionSet,
     PathSegment,
@@ -143,12 +141,13 @@ class SqueezeRecord:
     ``vectors[a0, a1, c0, c1]`` is the companion-register state produced
     by running the companion preparation plus the segment's inner gates
     from head inputs |a0>|a1>, decomposed on the two head lines.
-    ``basis`` spans those 16 vectors (rank 1..16) and ``coefficients``
-    holds their expansion, indexed [a0, a1, c0, c1, j].  ``prep_steps``
-    and ``postponed_steps`` are the steps of the two gate lists that
-    ``postpone`` returns: the postponed gates touch no line the segment
-    still needs, move behind it, and are dropped by the rewrite together
-    with the companion lines.
+    ``basis`` holds their leading right singular vectors (rank 1..16),
+    phased so each one's largest entry (the first on ties) is real and
+    positive; ``coefficients`` holds the expansion <basis_j|vector>,
+    indexed [a0, a1, c0, c1, j].  ``prep_steps`` and ``postponed_steps``
+    are the steps of the two gate lists that ``postpone`` returns: the
+    postponed gates touch no line the segment still needs, move behind
+    it, and are dropped by the rewrite together with the companion lines.
     """
 
     segment: PathSegment
@@ -244,7 +243,8 @@ def squeeze_path(
     Runs the companion preparation plus the segment's inner gates from
     the four basis inputs on the two head lines as one batch (companion
     lines start at their constant labels), splits the results on the head
-    lines, and orthonormalizes the 16 companion vectors.  The expansion
+    lines, and factors the 16 companion vectors by one SVD (the rank counts
+    singular values above ``rank_tol`` times the largest).  The expansion
     is verified to reconstruct the vectors within 1e-10 and to be an
     isometry on the four inputs.
     """
@@ -277,13 +277,15 @@ def squeeze_path(
     vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
 
     flat = vectors.reshape(16, 2 ** v)
-    # one SVD gives the Gram-Schmidt scale and the borderline margin
-    sing = np.linalg.svd(flat, compute_uv=False)
-    basis_list, rank = _gram_schmidt(flat, float(sing[0]), rank_tol)
-    if not 1 <= rank <= 16:
-        raise NumericalError(f"companion basis rank {rank} outside 1..16")
-    basis = np.array(basis_list)
-    coeffs = expansion_coefficients(basis_list, list(flat)).T.reshape(2, 2, 2, 2, rank)
+    # one SVD gives the rank, the basis, the coefficients and the margin
+    left, sing, right = np.linalg.svd(flat, full_matrices=False)
+    threshold = rank_tol * sing[0]
+    rank = int(np.count_nonzero(sing > threshold))  # rank 0 fails a check below
+    # each basis vector's largest entry (the first on ties) is real and positive
+    peaks = right[np.arange(rank), np.argmax(np.abs(right[:rank]), axis=1)]
+    phases = peaks / np.abs(peaks)
+    basis = right[:rank] * phases.conj()[:, None]
+    coeffs = (left[:, :rank] * (sing[:rank] * phases)).reshape(2, 2, 2, 2, rank)
 
     rebuilt = np.tensordot(coeffs, basis, axes=([4], [0]))
     residual = float(np.max(np.abs(rebuilt - vectors)))
@@ -293,7 +295,6 @@ def squeeze_path(
     if float(np.max(np.abs(weights - 1.0))) > RECONSTRUCTION_TOL:
         raise NumericalError("expansion is not an isometry on the head inputs")
 
-    threshold = rank_tol * sing[0]
     borderline = bool(np.any((sing > threshold / 10) & (sing < threshold * 10)))
 
     return SqueezeRecord(
@@ -311,51 +312,34 @@ def squeeze_path(
 
 
 def build_composite_gate(
-    record: SqueezeRecord,
-    *,
-    step: int = 1,
-    targets: Sequence[int] | None = None,
-    candidate_order: Sequence[int] | None = None,
+    record: SqueezeRecord, targets: Sequence[int] = range(COMPOSITE_ARITY)
 ) -> Gate:
-    """Turn a squeeze record into one six-qubit gate.
+    """Turn a squeeze record into one six-qubit gate on ``targets``.
 
     The four columns indexed |a0 a1 0000> map to
     sum_{c0 c1 j} coeff[a0,a1,c0,c1,j] |c0 c1>|j>, with the basis index
     j written in binary on the four fresh qubits.  The 60 unspecified
     columns are the orthogonal complement of those four, taken from one
-    complete QR factorization.  ``candidate_order`` (a permutation of
-    0..63) permutes the rows before the factorization and is undone
-    afterwards, so different orders give different completions; any
-    valid completion yields the same acceptance probabilities because
-    those columns are never excited.
+    complete QR factorization; any other completion yields the same
+    acceptance probabilities, because those columns are never excited.
     """
     dim = 2 ** COMPOSITE_ARITY
     padded = np.zeros((4, 2, 2, 2 ** FRESH_QUBITS), dtype=complex)
     padded[..., : record.rank] = record.coefficients.reshape(4, 2, 2, record.rank)
     columns = padded.reshape(4, dim).T  # column a0a1 holds |c0 c1>|j> at row c0c1j
-    specified = [(a0 << 5) | (a1 << 4) for a0 in (0, 1) for a1 in (0, 1)]
 
     gram = columns.conj().T @ columns
     if float(np.max(np.abs(gram - np.eye(4)))) > ISOMETRY_TOL:
         raise NumericalError("coefficient columns fail the isometry check")
 
-    order = np.asarray(range(dim) if candidate_order is None else candidate_order)
-    if order.shape != (dim,) or order.dtype.kind not in "iu" or not np.array_equal(
-        np.sort(order), np.arange(dim)
-    ):
-        raise NumericalError(f"candidate_order must be a permutation of 0..{dim - 1}")
-    q, _ = np.linalg.qr(columns[order], mode="complete")
-    u = np.empty((dim, dim), dtype=complex)
-    u[:, specified] = columns
-    free = [i for i in range(dim) if i not in specified]
-    u[np.ix_(order, free)] = q[:, 4:]  # row k of q is row order[k] of u
+    q, _ = np.linalg.qr(columns, mode="complete")
+    # column (a0a1 << 4) | j of u is the specified column a0a1 at j = 0, else a free one
+    u = np.concatenate([columns[:, :, None], q[:, 4:].reshape(dim, 4, -1)], axis=2)
+    u = u.reshape(dim, dim)
     deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if deviation > 1e-10:
         raise NumericalError(f"completed gate deviates from unitarity by {deviation:.3e}")
-
-    if targets is None:
-        targets = tuple(range(COMPOSITE_ARITY))
-    return Gate(step=step, targets=tuple(targets), matrix=u)
+    return Gate(step=1, targets=tuple(targets), matrix=u)
 
 
 @dataclass(frozen=True)
@@ -413,16 +397,14 @@ def squeeze_all(
     records: list[SqueezeRecord] = []
     skipped: list[PathSegment] = []
     for segment in segments:
-        if not segment.squeezable:
+        cs = companion_set_of_path(f_rho, pathset, segment) if segment.squeezable else None
+        if cs is None or cs.size == 0:
             skipped.append(segment)
-            continue
-        cs = companion_set_of_path(f_rho, pathset, segment)
-        if cs.size == 0:
-            skipped.append(segment)
-            continue
-        records.append(squeeze_path(f_rho, pathset, segment, cs, rank_tol=rank_tol))
+        else:
+            records.append(squeeze_path(f_rho, pathset, segment, cs, rank_tol=rank_tol))
 
     used: set[int] = set()
+    deleted_steps: set[int] = set(pruned)
     for rec in records:
         mine = set(rec.companions.qubits)
         if mine & used:
@@ -430,35 +412,24 @@ def squeeze_all(
                 f"companion sets of two segments overlap on lines {sorted(mine & used)}"
             )
         used |= mine
-    removed_lines = used
-    deleted_steps: set[int] = set(pruned)
-    for rec in records:
         deleted_steps.update(h.step for h in rec.segment.inner_hops)
-        deleted_steps.update(rec.prep_steps)
-        deleted_steps.update(rec.postponed_steps)
+        deleted_steps.update(rec.prep_steps + rec.postponed_steps)
 
-    kept_lines = [q for q in range(f_rho.num_qubits) if q not in removed_lines]
+    kept_lines = [q for q in range(f_rho.num_qubits) if q not in used]
     line_map = {old: new for new, old in enumerate(kept_lines)}
     labels: list[InputLabel] = [f_rho.labels[q] for q in kept_lines]
-    entries: list[tuple[int, tuple[int, ...], np.ndarray]] = []
-    for gate in f_rho.gates:
-        if gate.step in deleted_steps:
-            continue
-        entries.append(
-            (gate.step, tuple(line_map[t] for t in gate.targets), gate.matrix)
+    entries = [
+        (g.step, tuple(line_map[t] for t in g.targets), g.matrix)
+        for g in f_rho.gates if g.step not in deleted_steps
+    ]
+    # each composite gate acts on its head lines and four fresh |0> lines
+    for i, rec in enumerate(records):
+        cs, fresh = rec.companions, len(kept_lines) + FRESH_QUBITS * i
+        gate = build_composite_gate(
+            rec, (line_map[cs.q0], line_map[cs.q1], *range(fresh, fresh + FRESH_QUBITS))
         )
-    composite_keys: list[int] = []
-    for rec in records:
-        fresh_base = len(kept_lines) + FRESH_QUBITS * len(composite_keys)
-        targets = (
-            line_map[rec.companions.q0],
-            line_map[rec.companions.q1],
-            *range(fresh_base, fresh_base + FRESH_QUBITS),
-        )
-        gate = build_composite_gate(rec, targets=targets)
-        entries.append((rec.companions.j0, gate.targets, gate.matrix))
-        labels.extend(constant(0) for _ in range(FRESH_QUBITS))
-        composite_keys.append(rec.companions.j0)
+        entries.append((cs.j0, gate.targets, gate.matrix))
+    labels.extend([constant(0)] * (FRESH_QUBITS * len(records)))
 
     entries.sort(key=lambda e: e[0])
     gates = tuple(
@@ -480,7 +451,7 @@ def squeeze_all(
         block=block,
         s_j=pathset.s_j,
         records=tuple(records),
-        composite_steps=tuple(key_to_step[k] for k in composite_keys),
+        composite_steps=tuple(key_to_step[rec.companions.j0] for rec in records),
         skipped_segments=tuple(skipped),
         qubit_map=tuple((old, line_map[old]) for old in kept_lines),
         pruned_steps=pruned,
@@ -493,7 +464,9 @@ def squeeze_all(
 
 
 def verify_squeeze(original: Circuit, squeezed: Circuit, *, tol: float = SQUEEZE_TOL) -> float:
-    """Max |p_alpha difference| over all assignments; raises beyond tol."""
+    """Max |p_alpha difference| over all assignments; raises beyond tol (or at NaN)."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     p_orig = probability_vector(original)
     p_new = probability_vector(squeezed)
     if p_orig.shape != p_new.shape:
@@ -501,7 +474,7 @@ def verify_squeeze(original: Circuit, squeezed: Circuit, *, tol: float = SQUEEZE
             f"variable counts differ: {original.num_variables} vs {squeezed.num_variables}"
         )
     deviation = float(np.max(np.abs(p_orig - p_new))) if p_orig.size else 0.0
-    if deviation > tol:
+    if not deviation <= tol:
         raise VerificationError(
             f"acceptance probability deviates by {deviation:.3e} (tolerance {tol:.1e})"
         )

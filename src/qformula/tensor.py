@@ -50,29 +50,21 @@ def orthonormalize(
 
     Residuals below ``tol`` times the spectral norm of the stacked input
     are treated as zero, so the returned dimension is the numerical rank
-    at that threshold.  An all-zero input yields an empty basis.
+    at that threshold.  An all-zero input yields an empty basis.  The
+    tests cross-check it against the squeezing rewrite's SVD rank.
     """
     if len(vectors) == 0:
         raise ValueError("orthonormalize requires a nonempty vector list")
     rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    dim = rows[0].size
-    if any(r.size != dim for r in rows):
+    if len({r.size for r in rows}) > 1:
         raise DimensionError("vectors must share one dimension")
     stacked = np.array(rows)
-    return _gram_schmidt(stacked, float(np.linalg.norm(stacked, 2)), tol)
-
-
-def _gram_schmidt(
-    rows: np.ndarray, scale: float, tol: float
-) -> tuple[list[np.ndarray], int]:
-    """``orthonormalize`` of the rows of a 2-D array whose spectral norm
-    ``scale`` the caller already has (the largest singular value)."""
+    scale = float(np.linalg.norm(stacked, 2))
     if scale == 0.0:
         return [], 0
     threshold = tol * scale
     basis: list[np.ndarray] = []
-    for r in rows:
-        w = r.copy()
+    for w in stacked:  # each row is reduced in place
         for b in basis:
             w -= np.vdot(b, w) * b
         # second pass guards against cancellation in nearly dependent sets

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,35 @@ def test_verify_lemmas_without_cases_is_a_usage_error(capsys, cases):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--cases: must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    # deviation > nan is never true: --tol nan used to turn verification off
+    source = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), source)
+    with pytest.raises(SystemExit) as err:
+        main(["squeeze", "--json", "-c", str(source), f"--tol={tol}"])
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol: must be a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["appendix", "-n", "1", "-N", "1", "-d", str(10 ** 12)], 1),
+    (["equiv", "-n", "1", "-N", "2", "-d", str(10 ** 12)], 0),
+], ids=["appendix", "equiv"])
+def test_bounds_at_gate_arity_a_trillion_finish_quickly(capsys, argv, code):
+    # mu = 2^(2d) N is never built, and C(2d, d) is taken from lgamma
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "bounds", *argv, "--json")
+    assert time.perf_counter() - start < 1.0
+    assert got == code and "Traceback" not in err
+    if code == 0:
+        assert _strict_json(out)["log2_binomial_form"] == pytest.approx(2 * 2e12, rel=1e-9)
+    else:
+        assert out == "" and err.startswith("error: ") and "past the float range" in err
 
 
 def test_ed_check_and_emit_build_the_table_once(tmp_path, capsys, monkeypatch):

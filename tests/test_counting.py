@@ -111,6 +111,13 @@ def test_binomial_form_at_a_million_choices_is_quick():
     assert classes.log2_binomial_form == pytest.approx(10 ** 6 * log2_choose, rel=1e-8)
 
 
+@pytest.mark.parametrize("N, d", [(1, 10 ** 400), (2, 10 ** 400), (2, 10 ** 306)])
+def test_wiring_classes_past_the_float_range_are_a_value_error(N, d):
+    # (dN)^(dN) at dN = 10^400, and lgamma of n' = 2*10^306, overflow a float
+    with pytest.raises(ValueError, match=r"float range at log2 \(n', d, N\)"):
+        equiv_class_bound(CountingParams(n=1, N=N, d=d))
+
+
 def test_counting_params_invariants():
     with pytest.raises(ValueError, match="n <= N"):
         CountingParams(n=3, N=2, d=2)

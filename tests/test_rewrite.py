@@ -28,7 +28,7 @@ from qformula import (
 from qformula.analysis import Hop
 from qformula.circuit import Circuit, Gate
 from qformula.gates import CNOT, X, random_unitary
-from qformula.rewrite import NumericalError, VerificationError
+from qformula.rewrite import VerificationError
 from qformula.samples import (
     nonformula_example,
     random_formula,
@@ -392,12 +392,11 @@ def test_two_completions_give_identical_probabilities():
     squeezed = squeeze_all(c)
     index = squeezed.composite_steps[0] - 1
     original_gate = squeezed.circuit.gates[index]
-    alternate = build_composite_gate(
-        squeezed.records[0],
-        step=original_gate.step,
-        targets=original_gate.targets,
-        candidate_order=range(63, -1, -1),
-    )
+    # the 60 columns besides |a0 a1 0000> times any unitary: another completion
+    free = [i for i in range(64) if i % 16]
+    matrix = original_gate.matrix.copy()
+    matrix[:, free] = matrix[:, free] @ random_unitary(60, np.random.default_rng(60))
+    alternate = Gate(step=original_gate.step, targets=original_gate.targets, matrix=matrix)
     assert not np.allclose(alternate.matrix, original_gate.matrix)
     gates = list(squeezed.circuit.gates)
     gates[index] = alternate
@@ -432,20 +431,38 @@ def test_every_corpus_composite_is_unitary_and_keeps_its_columns(corpus):
 
 
 def test_squeeze_path_rank_basis_and_margin_match_orthonormalize(corpus):
-    # squeeze_path takes the Gram-Schmidt scale and the borderline margin
-    # from one SVD; orthonormalize (spectral norm) and a second SVD agree
+    # squeeze_path takes rank, basis, coefficients and margin from one SVD;
+    # Gram-Schmidt (orthonormalize) cross-checks the rank and the span
     for member in corpus:
         f_rho = restrict(member.formula, member.block, member.restriction)
         for record in squeeze_all(f_rho, verify=False).records:
             flat = record.vectors.reshape(16, -1)
             basis, rank = orthonormalize(list(flat), tol=1e-9)
-            assert rank == record.rank
-            assert np.array_equal(np.array(basis), record.basis)
+            assert rank == record.rank == len(record.basis)
+            gram_schmidt = np.array(basis)
+            projector = gram_schmidt.T @ gram_schmidt.conj()
+            assert np.max(np.abs(record.basis.T @ record.basis.conj() - projector)) <= 1e-12
+            # phase rule: the largest entry (the first within 1e-12 of it) is real and positive
+            for row in record.basis:
+                mags = np.abs(row)
+                peak = row[np.argmax(mags >= mags.max() - 1e-12)]
+                assert abs(peak.imag) <= 1e-15 and peak.real > 0
+            coefficients = (flat @ record.basis.conj().T).reshape(record.coefficients.shape)
+            assert np.max(np.abs(coefficients - record.coefficients)) <= 1e-12
             sing = np.linalg.svd(flat, compute_uv=False)
             threshold = 1e-9 * np.linalg.norm(flat, 2)
             assert record.borderline_rank == bool(
                 np.any((sing > threshold / 10) & (sing < threshold * 10))
             )
+
+
+def test_companion_states_of_rank_zero_fail_the_isometry_check(monkeypatch):
+    import qformula.rewrite
+
+    states = qformula.rewrite.final_states
+    monkeypatch.setattr(qformula.rewrite, "final_states", lambda *args: 0.0 * states(*args))
+    with pytest.raises(qformula.rewrite.NumericalError, match="isometry"):
+        squeeze_all(two_path_example(), verify=False)
 
 
 def test_borderline_rank_flags_a_singular_value_near_the_threshold():
@@ -454,17 +471,6 @@ def test_borderline_rank_flags_a_singular_value_near_the_threshold():
     assert not any(r.borderline_rank for r in squeeze_all(two_path_example()).records)
     records = squeeze_all(two_path_example(), rank_tol=0.05, verify=False).records
     assert [(r.rank, r.borderline_rank) for r in records] == [(4, True), (4, True)]
-
-
-@pytest.mark.parametrize(
-    "order",
-    [range(63), [0] * 64, range(1, 65), np.arange(64.0), np.arange(64).reshape(8, 8)],
-    ids=["short", "repeated", "out-of-range", "float", "2d"],
-)
-def test_candidate_order_must_be_a_permutation(order):
-    record = squeeze_all(two_path_example(), verify=False).records[0]
-    with pytest.raises(NumericalError, match="permutation"):
-        build_composite_gate(record, candidate_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +559,28 @@ def test_verify_squeeze_raises_on_tampered_circuit():
         from qformula import verify_squeeze
 
         verify_squeeze(c, broken)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_verify_squeeze_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    from qformula import verify_squeeze
+
+    c = two_path_example()
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        verify_squeeze(c, squeeze_all(c, verify=False).circuit, tol=tol)
+
+
+def test_a_nan_deviation_fails_verification(monkeypatch):
+    import qformula.rewrite
+
+    c = two_path_example()
+    squeezed = squeeze_all(c, verify=False).circuit
+    p = probability_vector(c)
+    monkeypatch.setattr(
+        qformula.rewrite, "probability_vector", lambda circuit: p if circuit is c else p * np.nan
+    )
+    with pytest.raises(VerificationError, match="deviates by nan"):
+        qformula.rewrite.verify_squeeze(c, squeezed)
 
 
 def test_squeeze_all_rejects_non_formulas():

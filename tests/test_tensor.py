@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qformula import inner_product, kron, orthonormalize
-from qformula.tensor import DimensionError
+from qformula.tensor import DimensionError, expansion_coefficients
 
 
 def _unit(rng, dim):
@@ -99,6 +99,19 @@ def test_orthonormalize_all_zero_input():
 def test_orthonormalize_empty_list_rejected():
     with pytest.raises(ValueError):
         orthonormalize([])
+
+
+def test_expansion_coefficients_are_inner_products_with_the_basis():
+    rng = np.random.default_rng(8)
+    vectors = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(5)]
+    basis, dim = orthonormalize(vectors[:3])
+    coefficients = expansion_coefficients(basis, vectors)
+    assert coefficients.shape == (dim, 5) == (3, 5)
+    assert coefficients[1, 4] == np.vdot(basis[1], vectors[4])
+    # the first three vectors lie in the span, so the expansion rebuilds them
+    rebuilt = coefficients.T @ np.array(basis)
+    assert np.max(np.abs(rebuilt[:3] - np.array(vectors[:3]))) <= 1e-12
+    assert np.max(np.abs(rebuilt[3:] - np.array(vectors[3:]))) > 1e-3
 
 
 def test_kron_equals_numpy_kron_bit_for_bit():
