@@ -12,7 +12,15 @@ Three bound evaluators and one desk-scale witness:
   the class count.
 * ``enumerate_functions``: exhausts every circuit over a finite gate
   net at toy sizes and reports which Boolean functions are actually
-  computed, so the bounds can be checked from below.
+  computed, so the bounds can be checked from below.  It is one stacked
+  scan: each placement (a net entry on an ordered tuple of lines) is
+  embedded once as a 2^m x 2^m operator through the gate kernel, and the
+  operators of all gate sequences are built slot by slot with batched
+  products, in stacks of at most ``simulator.CHUNK_AMPLITUDES``
+  amplitudes.  Every labeling shares them: its p on every output line is
+  read from |U|^2 at its input columns.  A p within ``BOUNDARY_TOL`` of
+  1/3 or 2/3 is re-decided by ``final_states`` on that one circuit, so
+  the verdicts are the step-order state vector's.
 
 Every bound is computed once, in log2, so no size overflows; a linear
 value is reported only while it is a finite float, else None.  A lattice
@@ -28,9 +36,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, InputLabel, constant, variable
-from .gates import H, I2, X, unitary_deviation
-from .simulator import decide, final_states
+from .circuit import Circuit, Gate, constant, variable
+from . import simulator
+from .gates import H, I2, X, capped_matmul, unitary_deviation
+from .simulator import BOUNDARY_TOL, _line_values, _operator, decide, final_states
 
 E = math.e
 
@@ -51,12 +60,17 @@ def warren_bound_log2(m: int, t: int, deg: int) -> float:
     log2 is itself past the float range."""
     if min(m, t, deg) < 1:
         raise ValueError(f"m, t, deg must be positive, got {(m, t, deg)}")
+    return _warren_log2(math.log2(m), t, deg)
+
+
+def _warren_log2(log2_m: float, t: int, deg: int) -> float:
+    """``warren_bound_log2`` from log2 m, so m itself need not be built."""
     try:  # t may be an int past the float range
-        log2 = t * (math.log2(4.0 * E) + math.log2(deg) + math.log2(m) - math.log2(t))
+        log2 = t * (math.log2(4.0 * E) + math.log2(deg) + log2_m - math.log2(t))
     except OverflowError:
         log2 = math.inf
     if not math.isfinite(log2):
-        logs = ", ".join(f"{math.log2(v):.6g}" for v in (m, t, deg))
+        logs = ", ".join(f"{v:.6g}" for v in (log2_m, math.log2(t), math.log2(deg)))
         raise ValueError(f"Warren bound's log2 past the float range at log2 (m, t, deg) = ({logs})")
     return log2
 
@@ -161,9 +175,8 @@ def appendix_bound(params: CountingParams) -> AppendixBound:
         logs = f"{params.n + 1:.6g}, {log2_t:.6g}, {2 * math.log2(params.N):.6g}"
         raise ValueError(f"Warren bound's log2 past the float range at log2 (m, t, deg) = ({logs})")
     mu = params.mu
-    log2_sign = warren_bound_log2(
-        m=2 ** (params.n + 1), t=2 * mu, deg=params.N ** 2
-    )
+    # m = 2^(n+1) is not built: log2 m = n + 1 exactly, as math.log2 gives it
+    log2_sign = _warren_log2(params.n + 1, 2 * mu, params.N ** 2)
     classes = equiv_class_bound(params)
     return AppendixBound(
         mu=mu,
@@ -280,6 +293,69 @@ class EnumerationResult:
         return len(self.tables)
 
 
+def _sequence_operators(operators: list[np.ndarray], num_gates: int, dim: int, stack: int):
+    """(first, ops): the operators of gate sequences first, first + 1, ...
+    in ``itertools.product`` order (slot 1 most significant), as stacks
+    of at most ``stack`` operators.  Slot k + 1 multiplies each
+    placement's operator into a stack of slot-k prefixes."""
+    def extend(k: int, first: int, prefixes: np.ndarray):
+        if k == num_gates:
+            yield first, prefixes
+            return
+        count = len(operators)
+        width = min(count, stack)  # placements per stack
+        rows = stack // count if width == count else 1  # prefixes per stack
+        for s in range(0, len(prefixes), rows):
+            block = prefixes[s:s + rows]
+            for j in range(0, count, width):
+                ops = np.empty((len(block), min(width, count - j), dim, dim), complex)
+                for t in range(ops.shape[1]):
+                    capped_matmul(operators[j + t], block, out=ops[:, t])
+                yield from extend(k + 1, (first + s) * count + j, ops.reshape(-1, dim, dim))
+
+    yield from extend(0, 0, np.eye(dim, dtype=complex)[None])
+
+
+def _scan(n: int, num_gates: int, net: GateNet, num_qubits: int, arity_bound: int):
+    """(first, labeling, p) per chunk: p[i, o, l, a] is the acceptance
+    probability, read from |U|^2 (from ``final_states`` near a threshold),
+    of gate sequence first + i on output line o under labeling labeling + l
+    at assignment a (x1 most significant).  Labelings and gate sequences
+    are numbered in ``itertools.product`` order."""
+    m, dim = num_qubits, 2 ** num_qubits
+    options = [variable(j) for j in range(1, n + 1)] + [constant(0), constant(1)]
+    labelings = [labels for labels in itertools.product(options, repeat=m)  # each variable used
+                 if {lb.var for lb in labels} - {None} == set(range(1, n + 1))]
+    placements = [(matrix, targets) for _, matrix in net.entries  # within the arity bound
+                  if (arity := len(matrix).bit_length() - 1) <= min(arity_bound, m)
+                  for targets in itertools.permutations(range(m), arity)]
+    if num_gates and not placements:
+        return
+    operators = [_operator([Gate(1, targets, matrix)], m) for matrix, targets in placements]
+    stack = max(1, simulator.CHUNK_AMPLITUDES // dim ** 2)
+    # columns[l, a]: the input basis state of labeling l at assignment a
+    place = 1 << np.arange(m - 1, -1, -1)
+    columns = np.array([place @ _line_values(Circuit(m, labels, (), 0), 0, 2 ** n)
+                        for labels in labelings])
+    for first, ops in _sequence_operators(operators, num_gates, dim, stack):
+        # accept[i, o, c]: the weight of line o's 1-rows in column c of U_i,
+        # summed over the other row axes as the state vector sums them
+        squared = (np.abs(ops) ** 2).reshape(len(ops), *[2] * m, dim)
+        accept = np.stack([squared.sum(axis=tuple(1 + q for q in range(m) if q != o))[:, 1]
+                           for o in range(m)], axis=1)
+        per = max(1, simulator.CHUNK_AMPLITUDES // ((len(ops) * m) << n))  # labelings per chunk
+        for lo in range(0, len(labelings), per):
+            p = accept[:, :, columns[lo:lo + per]]
+            near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
+            for i, o, l in zip(*np.nonzero(near.any(axis=-1))):
+                digits = np.unravel_index(first + i, (len(placements),) * num_gates)
+                gates = [Gate(k + 1, placements[d][1], placements[d][0]) for k, d in enumerate(digits)]
+                circuit = Circuit(m, labelings[lo + l], gates, o, arity_bound)
+                others = tuple(q for q in range(m) if q != o)
+                p[i, o, l] = (np.abs(final_states(circuit, 0, 2 ** n)) ** 2).sum(axis=others)[1]
+            yield first, lo, p
+
+
 def enumerate_functions(
     n: int,
     num_gates: int,
@@ -295,7 +371,8 @@ def enumerate_functions(
     takes any net entry on any ordered tuple of distinct lines (within
     the arity bound).  A circuit contributes the single function forced
     by its acceptance probabilities, or nothing if any assignment lands
-    in the undetermined band.
+    in the undetermined band.  Every labeling reads the operators of the
+    gate sequences, built once per sequence (``_scan``).
     """
     if n > MAX_ENUM_VARIABLES or n < 1:
         raise ValueError(f"n must be 1..{MAX_ENUM_VARIABLES}, got {n}")
@@ -310,34 +387,15 @@ def enumerate_functions(
     if arity_bound < 1:
         raise ValueError(f"arity_bound must be at least 1, got {arity_bound}")
 
-    label_options: list[InputLabel] = [variable(j) for j in range(1, n + 1)]
-    label_options += [constant(0), constant(1)]
-    placements: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for _, matrix in net.entries:
-        arity = int(math.log2(matrix.shape[0]))
-        if arity > min(arity_bound, num_qubits):
-            continue
-        for targets in itertools.permutations(range(num_qubits), arity):
-            placements.append((matrix, targets))
-    # every placement as the gate of each slot, built once
-    slots = [[Gate(i + 1, t, m) for m, t in placements] for i in range(num_gates)]
-    # the axes summed out to leave each output line's marginal
-    others = [tuple(a for a in range(num_qubits) if a != q) for q in range(num_qubits)]
-
-    found: set[str] = set()
+    found: set[int] = set()  # truth tables as integers, assignment 0 the top bit
     scanned = 0
     undetermined = 0
-    for labels in itertools.product(label_options, repeat=num_qubits):
-        if {lb.var for lb in labels if lb.var is not None} != set(range(1, n + 1)):
-            continue
-        for gates in itertools.product(*slots):
-            base = Circuit(num_qubits, labels, gates, 0, arity_bound)
-            # one batch of final states serves every output-line choice,
-            # and one threshold call decides all of them
-            weights = np.abs(final_states(base, 0, 2 ** n)) ** 2
-            decided = decide([weights.sum(axis=axes)[1] for axes in others])
-            determined = (decided >= 0).all(axis=1)
-            scanned += num_qubits
-            undetermined += num_qubits - int(determined.sum())
-            found.update("".join(map(str, row)) for row in decided[determined])
-    return EnumerationResult(n, tuple(sorted(found)), scanned, undetermined)
+    weights = 1 << np.arange(2 ** n - 1, -1, -1)
+    for _, _, p in _scan(n, num_gates, net, num_qubits, arity_bound):
+        decided = decide(p)
+        determined = (decided >= 0).all(axis=-1)
+        scanned += determined.size
+        undetermined += determined.size - int(determined.sum())
+        found.update((decided[determined] @ weights).tolist())
+    tables = sorted(format(t, f"0{2 ** n}b") for t in found)
+    return EnumerationResult(n, tuple(tables), scanned, undetermined)

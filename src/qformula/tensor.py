@@ -8,6 +8,7 @@ at tolerance 1e-12.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,12 @@ def inner_product(x1, x2) -> complex:
     return complex(np.vdot(v1, v2))
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, computed as np.linalg.norm
+    computes it, bit for bit, without its argument handling."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def orthonormalize(
     vectors: Sequence[np.ndarray], tol: float = DEFAULT_RANK_TOL
 ) -> tuple[list[np.ndarray], int]:
@@ -59,7 +66,7 @@ def orthonormalize(
     if len({r.size for r in rows}) > 1:
         raise DimensionError("vectors must share one dimension")
     stacked = np.array(rows)
-    scale = float(np.linalg.norm(stacked, 2))
+    scale = float(np.linalg.svd(stacked, compute_uv=False)[0])  # the spectral norm
     if scale == 0.0:
         return [], 0
     threshold = tol * scale
@@ -70,9 +77,9 @@ def orthonormalize(
         # second pass guards against cancellation in nearly dependent sets
         for b in basis:
             w -= np.vdot(b, w) * b
-        norm = float(np.linalg.norm(w))
-        if norm > threshold:
-            basis.append(w / norm)
+        length = norm(w)
+        if length > threshold:
+            basis.append(w / length)
     return basis, len(basis)
 
 

@@ -36,7 +36,7 @@ from .circuit import Circuit, Gate, build_circuit, constant
 from .gates import complete_unitaries, gaussian_matrix
 from .rewrite import decompose_disjoint, postpone
 from .simulator import _apply, _operator, to_unitary
-from .tensor import inner_product, kron, orthonormalize
+from .tensor import inner_product, kron, norm, orthonormalize
 
 FACTORIZATION_TOL = 1e-12
 OPERATOR_TOL = 1e-10
@@ -59,7 +59,7 @@ class SweepResult:
 
 def _random_vector(rng: np.random.Generator, dim: int, unit: bool = False) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v) if unit else v
+    return v / norm(v) if unit else v
 
 
 def _sweep(name: str, tolerance: float, cases: int, seed: int, draw) -> SweepResult:
@@ -95,7 +95,7 @@ def _draw_factorization(rng: np.random.Generator, unitary):
     b1, b2 = (_random_vector(rng, 2 ** kb) for _ in range(2))
 
     def check(unitaries):
-        norm_gap = abs(np.linalg.norm(kron(a1, b1)) - np.linalg.norm(a1) * np.linalg.norm(b1))
+        norm_gap = abs(norm(kron(a1, b1)) - norm(a1) * norm(b1))
         ip_gap = abs(
             inner_product(kron(a1, b1), kron(a2, b2))
             - inner_product(a1, a2) * inner_product(b1, b2)

@@ -486,6 +486,27 @@ def test_bounds_at_gate_arity_a_trillion_finish_quickly(capsys, argv, code):
         assert out == "" and err.startswith("error: ") and "past the float range" in err
 
 
+def test_appendix_output_is_pinned(capsys):
+    # the bytes printed before m = 2^(n+1) was replaced by its log2, n + 1
+    code, out, _ = run_cli(capsys, "bounds", "appendix", "-n", "16", "-N", "128", "--json")
+    assert code == 0
+    assert out == (
+        '{"log2_class_count": 1919.277239917934, "log2_sign_factor": 91925.2788874812, '
+        '"log2_total": 93844.55612739913, "mu": 2048, "sign_factor": null, "total": null}\n')
+
+
+def test_appendix_at_a_trillion_variables_finishes_quickly(capsys):
+    # m = 2^(n+1) would be a 125 GB integer; only log2 m = n + 1 is used
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "appendix", "-n", str(10 ** 12),
+                             "-N", str(10 ** 12), "-d", "1", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "Traceback" not in err
+    payload = _strict_json(out)
+    assert payload["mu"] == 4 * 10 ** 12 and payload["total"] is None
+    assert payload["log2_sign_factor"] == pytest.approx(8e24, rel=1e-9)
+
+
 def test_ed_check_and_emit_build_the_table_once(tmp_path, capsys, monkeypatch):
     from qformula import cli, nechiporuk
 

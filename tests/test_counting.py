@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,11 @@ from qformula import (
     warren_bound,
     warren_bound_log2,
 )
+from qformula import counting, simulator
+from qformula.circuit import Circuit, Gate, constant, variable
 from qformula.counting import evaluate_poly, poly_degree, random_polynomial
-from qformula.gates import CNOT, H, I2, X
+from qformula.gates import CNOT, H, I2, X, random_unitary
+from qformula.simulator import decide, final_states
 
 E = math.e
 
@@ -206,42 +210,166 @@ def test_h_gate_on_undetermined_band_example():
     assert result.count == 0 and result.undetermined_circuits == 1
 
 
-def _enumerate_line_by_line(n, num_gates, net, num_qubits):
-    """The scan with each output line decided on its own, gates built per circuit."""
-    import itertools
-
-    from qformula.circuit import Circuit, Gate, constant, variable
-    from qformula.simulator import decide, final_states
-
+def _per_circuit_oracle(n, num_gates, net, num_qubits, arity_bound=2):
+    """Every circuit simulated on its own, by ``final_states``, and decided by
+    ``decide``: the tables, the counts, and p[labeling, sequence, output
+    line, assignment] with labelings and gate sequences in
+    ``itertools.product`` order."""
     labels_options = [variable(j) for j in range(1, n + 1)] + [constant(0), constant(1)]
+    labelings = [
+        labels for labels in itertools.product(labels_options, repeat=num_qubits)
+        if {lb.var for lb in labels if lb.var is not None} == set(range(1, n + 1))
+    ]
     placements = [
         (m, t) for _, m in net.entries
         for t in itertools.permutations(range(num_qubits), int(math.log2(m.shape[0])))
-        if int(math.log2(m.shape[0])) <= min(2, num_qubits)
+        if int(math.log2(m.shape[0])) <= min(arity_bound, num_qubits)
     ]
+    sequences = list(itertools.product(placements, repeat=num_gates))
+    p = np.empty((len(labelings), len(sequences), num_qubits, 2 ** n))
     found, scanned, undetermined = set(), 0, 0
-    for labels in itertools.product(labels_options, repeat=num_qubits):
-        if {lb.var for lb in labels if lb.var is not None} != set(range(1, n + 1)):
-            continue
-        for chosen in itertools.product(placements, repeat=num_gates):
+    for l, labels in enumerate(labelings):
+        for s, chosen in enumerate(sequences):
             gates = tuple(Gate(step=i + 1, targets=t, matrix=m) for i, (m, t) in enumerate(chosen))
-            base = Circuit(num_qubits=num_qubits, labels=labels, gates=gates, output_qubit=0)
+            base = Circuit(num_qubits=num_qubits, labels=labels, gates=gates, output_qubit=0,
+                           arity_bound=arity_bound)
             weights = np.abs(final_states(base, 0, 2 ** n)) ** 2
             for q in range(num_qubits):
                 scanned += 1
                 others = tuple(a for a in range(num_qubits) if a != q)
-                decided = decide(weights.sum(axis=others)[1])
+                p[l, s, q] = weights.sum(axis=others)[1]
+                decided = decide(p[l, s, q])
                 if np.any(decided < 0):
                     undetermined += 1
                     continue
                 found.add("".join(map(str, decided)))
-    return tuple(sorted(found)), scanned, undetermined
+    return tuple(sorted(found)), scanned, undetermined, p
+
+
+def _scanned_probabilities(shape, n, num_gates, net, num_qubits, arity_bound=2):
+    """The scan's p, laid out as the oracle's; every entry is set exactly once."""
+    p = np.full(shape, np.nan)
+    for first, lo, chunk in counting._scan(n, num_gates, net, num_qubits, arity_bound):
+        part = p[lo:lo + chunk.shape[2], first:first + chunk.shape[0]]
+        assert np.isnan(part).all()
+        part[...] = chunk.transpose(2, 0, 1, 3)
+    assert not np.isnan(p).any()
+    return p
+
+
+def _assert_scan_equals_oracle(n, num_gates, net, num_qubits, arity_bound=2):
+    tables, scanned, undetermined, p = _per_circuit_oracle(n, num_gates, net, num_qubits, arity_bound)
+    result = enumerate_functions(n, num_gates, net, num_qubits=num_qubits, arity_bound=arity_bound)
+    assert (result.tables, result.circuits_scanned, result.undetermined_circuits) == (
+        tables, scanned, undetermined)
+    got = _scanned_probabilities(p.shape, n, num_gates, net, num_qubits, arity_bound)
+    assert np.all(np.abs(got - p) <= 1e-12)
+    return result
 
 
 @pytest.mark.parametrize("n, num_gates, num_qubits", [(1, 1, 1), (2, 2, 3), (2, 3, 2), (1, 0, 2)])
 def test_batched_enumeration_equals_line_by_line_decisions(n, num_gates, num_qubits):
     net = GateNet.of([("I", I2), ("X", X), ("H", H), ("CNOT", CNOT)])
-    result = enumerate_functions(n, num_gates, net, num_qubits=num_qubits)
-    assert (result.tables, result.circuits_scanned, result.undetermined_circuits) == (
-        _enumerate_line_by_line(n, num_gates, net, num_qubits)
-    )
+    _assert_scan_equals_oracle(n, num_gates, net, num_qubits)
+
+
+@pytest.mark.parametrize("n, num_gates, num_qubits", [
+    (n, num_gates, num_qubits)
+    for n in (1, 2, 3) for num_gates in (0, 1, 2, 3) for num_qubits in range(n, 4)
+])
+def test_scan_equals_the_per_circuit_oracle_on_the_default_net(n, num_gates, num_qubits):
+    _assert_scan_equals_oracle(n, num_gates, GateNet.default(), num_qubits)
+
+
+@pytest.mark.parametrize("n, num_gates, num_qubits", [(1, 2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 3)])
+def test_scan_equals_the_per_circuit_oracle_with_cnot(n, num_gates, num_qubits):
+    net = GateNet.of([("I", I2), ("X", X), ("CNOT", CNOT)])
+    _assert_scan_equals_oracle(n, num_gates, net, num_qubits)
+
+
+@pytest.mark.parametrize("n, num_gates, num_qubits", [(1, 2, 2), (2, 2, 3), (1, 3, 2)])
+def test_scan_equals_the_per_circuit_oracle_on_random_unitaries(n, num_gates, num_qubits):
+    rng = np.random.default_rng(14)
+    net = GateNet.of([("u", random_unitary(2, rng)), ("v", random_unitary(2, rng)),
+                      ("w", random_unitary(4, rng))])
+    _, _, _, p = _per_circuit_oracle(n, num_gates, net, num_qubits)
+    # p spreads over (0, 1), so some circuits compute functions and some do not
+    assert p.min() < 0.05 and p.max() > 0.95 and np.mean((p > 1 / 3) & (p < 2 / 3)) > 0.1
+    result = _assert_scan_equals_oracle(n, num_gates, net, num_qubits)
+    assert 0 < result.undetermined_circuits < result.circuits_scanned
+
+
+def test_scan_pins_two_variables_two_gates_three_lines():
+    result = enumerate_functions(2, 2, GateNet.default(), num_qubits=3)
+    assert (result.count, result.circuits_scanned, result.undetermined_circuits) == (6, 4374, 864)
+
+
+def test_near_threshold_p_is_redecided_by_the_state_vector(monkeypatch):
+    # a y-rotation taking |0> to p = 1/3 up to rounding; the scan's operators
+    # are scaled so that its p lands on the other side of 1/3 from the
+    # state vector's, yet every verdict must still be the state vector's
+    c, s = math.sqrt(2 / 3), math.sqrt(1 / 3)
+    net = GateNet.of([("R", np.array([[c, -s], [s, c]])), ("X", X), ("CNOT", CNOT)])
+    scale = math.sqrt(1 + 1e-13) if s * s < 1 / 3 else math.sqrt(1 - 1e-13)
+    calls, original_states, original_stacks = [], counting.final_states, counting._sequence_operators
+
+    def counted(circuit, lo, hi):
+        calls.append(circuit)
+        return original_states(circuit, lo, hi)
+
+    def scaled(*args):
+        for first, ops in original_stacks(*args):
+            yield first, ops * scale
+
+    monkeypatch.setattr(counting, "final_states", counted)
+    monkeypatch.setattr(counting, "_sequence_operators", scaled)
+    assert decide(s * s * scale ** 2) != decide(s * s)
+    _assert_scan_equals_oracle(1, 2, net, 2)
+    assert calls  # the scan re-decided some circuits
+    calls.clear()
+    monkeypatch.setattr(counting, "_sequence_operators", original_stacks)
+    enumerate_functions(2, 2, GateNet.default(), num_qubits=3)
+    assert not calls  # p of 0, 1/2 or 1 is never near a threshold
+
+
+@pytest.mark.parametrize("operators", [1, 3, 20], ids=["one", "three", "two-prefixes"])
+def test_chunked_scan_equals_the_unchunked_one_within_the_budget(monkeypatch, operators):
+    net = GateNet.of([("I", I2), ("X", X), ("H", H), ("CNOT", CNOT)])
+    expected = enumerate_functions(2, 3, net, num_qubits=3)
+    shape = (18, 15 ** 3, 3, 4)  # labelings, sequences, output lines, assignments
+    unchunked = _scanned_probabilities(shape, 2, 3, net, 3)
+    budget = operators * 64  # operators of 8 x 8
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+    sizes = []
+    original_matmul, original_stacks = counting.capped_matmul, counting._sequence_operators
+
+    def recorded_matmul(matrix, flat, out=None):
+        sizes.extend((flat.size, out.base.size))  # out is one column of the stack built
+        return original_matmul(matrix, flat, out=out)
+
+    def recorded_stacks(*args):
+        for first, ops in original_stacks(*args):
+            sizes.append(ops.size)
+            yield first, ops
+
+    monkeypatch.setattr(counting, "capped_matmul", recorded_matmul)
+    monkeypatch.setattr(counting, "_sequence_operators", recorded_stacks)
+    assert enumerate_functions(2, 3, net, num_qubits=3) == expected
+    assert sizes and max(sizes) <= budget
+    chunks = list(counting._scan(2, 3, net, 3, 2))
+    assert len(chunks) > 1 and max(p.size for _, _, p in chunks) <= budget
+    assert np.max(np.abs(_scanned_probabilities(shape, 2, 3, net, 3) - unchunked)) <= 1e-12
+
+
+def test_scan_below_one_operator_holds_one_at_a_time(monkeypatch):
+    expected = enumerate_functions(2, 2, GateNet.default(), num_qubits=3)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 16)  # less than one 8 x 8 operator
+    assert enumerate_functions(2, 2, GateNet.default(), num_qubits=3) == expected
+    assert {len(ops) for _, ops in counting._sequence_operators(
+        [np.eye(8)] * 9, 2, 8, 1)} == {1}
+
+
+def test_warren_log2_from_log2_m_is_bit_identical():
+    for n in (1, 15, 16, 1022, 1023, 5000, 10 ** 6):
+        for t, deg in ((2, 1), (2048, 128 ** 2), (4 * 10 ** 8, 10 ** 16)):
+            assert counting._warren_log2(n + 1, t, deg) == warren_bound_log2(2 ** (n + 1), t, deg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qformula import inner_product, kron, orthonormalize
+from qformula import tensor
 from qformula.tensor import DimensionError, expansion_coefficients
 
 
@@ -123,3 +124,56 @@ def test_kron_equals_numpy_kron_bit_for_bit():
         assert np.array_equal(kron(a, b), np.kron(a, b))
     # real and integer factors come back complex, as np.kron of complex ones
     assert np.array_equal(kron([1, 0], [0.5, 2]), np.kron([1, 0], [0.5, 2]).astype(complex))
+
+
+def _orthonormalize_with_numpy_norms(vectors, tol=1e-10):
+    """The modified Gram-Schmidt loop with numpy's norm wrapper: the spectral
+    norm from np.linalg.norm(., 2), each row's from np.linalg.norm."""
+    stacked = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    scale = float(np.linalg.norm(stacked, 2))
+    if scale == 0.0:
+        return [], 0
+    basis = []
+    for w in stacked:
+        for b in basis:
+            w -= np.vdot(b, w) * b
+        for b in basis:
+            w -= np.vdot(b, w) * b
+        norm = float(np.linalg.norm(w))
+        if norm > tol * scale:
+            basis.append(w / norm)
+    return basis, len(basis)
+
+
+def _seeded_families():
+    rng = np.random.default_rng(1414)
+    for _ in range(200):
+        dim, count = 2 ** int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        vectors = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(count)]
+        yield vectors
+        # rank-deficient: a combination of the others, and a repeat
+        if count > 1:
+            mix = sum(complex(rng.normal(), rng.normal()) * v for v in vectors[:-1])
+            yield vectors[:-1] + [mix, vectors[0]]
+    yield [np.zeros(4, complex), np.zeros(4, complex)]
+    yield [np.zeros(8, complex), np.ones(8, complex), np.zeros(8, complex)]
+    yield [np.array([1e-300, 1e-300j])]
+
+
+def test_orthonormalize_is_bit_identical_to_the_numpy_norm_loop():
+    ranks = set()
+    for vectors in _seeded_families():
+        basis, rank = orthonormalize([v.copy() for v in vectors])
+        expected, expected_rank = _orthonormalize_with_numpy_norms([v.copy() for v in vectors])
+        assert rank == expected_rank and len(basis) == rank
+        assert all(np.array_equal(b, e) for b, e in zip(basis, expected))
+        ranks.add(rank < len(vectors))
+    assert ranks == {True, False}  # some inputs were rank-deficient
+
+
+def test_norm_is_bit_identical_to_numpy_norm():
+    rng = np.random.default_rng(15)
+    for dim in (1, 2, 3, 8, 64):
+        for v in (rng.normal(size=dim) + 1j * rng.normal(size=dim), np.zeros(dim, complex)):
+            assert tensor.norm(v) == np.linalg.norm(v)
+            assert tensor.norm(v[::2]) == np.linalg.norm(v[::2])
