@@ -21,9 +21,10 @@ strictly inside are the unit the squeezing rewrite operates on.
 
 Companions: two lines are strong companions at step s if some gate at
 or before s touches both; the companion relation is the transitive
-closure, tracked with a union-find structure.  The companion set of a
-segment collects the constant lines whose state feeds the segment
-besides its two head inputs; those are the lines the rewrite replaces.
+closure, found in one pass that keeps a component label per line and
+merges the labels of each gate's lines.  The companion set of a segment
+collects the constant lines whose state feeds the segment besides its
+two head inputs; those are the lines the rewrite replaces.
 """
 from __future__ import annotations
 
@@ -368,22 +369,6 @@ def path_segments(circuit: Circuit, pathset: PathSet) -> tuple[PathSegment, ...]
 # companions
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class CompanionSet:
     """The constant lines a segment consumes besides its two head inputs.
@@ -485,17 +470,13 @@ def companion_set_of_path(
         )
     seeds -= {q0, q1}
 
-    uf = _UnionFind(circuit.num_qubits)
+    label = list(range(circuit.num_qubits))  # one component label per line
     for gate in circuit.gates:
-        if gate.step >= j1 or gate.step in segment_steps:
-            continue
-        targets = [t for t in gate.targets if t not in (q0, q1)]
-        for t in targets[1:]:
-            uf.union(targets[0], t)
-    roots = {uf.find(s) for s in seeds}
-    qubits = frozenset(
-        q for q in range(circuit.num_qubits) if uf.find(q) in roots
-    ) - {q0, q1}
+        if gate.step < j1 and gate.step not in segment_steps:
+            merged = {label[t] for t in gate.targets if t not in (q0, q1)}
+            label = [min(merged) if lb in merged else lb for lb in label]
+    seed_labels = {label[s] for s in seeds}
+    qubits = frozenset(q for q, lb in enumerate(label) if lb in seed_labels) - {q0, q1}
 
     q2: int | None = None
     if term is not None:

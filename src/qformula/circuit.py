@@ -26,8 +26,6 @@ import numpy as np
 from .gates import unitary_deviation
 
 UNITARY_TOL = 1e-10
-ALGEBRA_TOL = 1e-12
-PROBABILITY_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-9
 
 

@@ -45,7 +45,7 @@ from .nechiporuk import (
     ed_sigma_check,
     nechiporuk_bound,
 )
-from .rewrite import NumericalError, VerificationError, restrict, squeeze_all
+from .rewrite import SQUEEZE_TOL, NumericalError, VerificationError, restrict, squeeze_all
 from .simulator import SimulationError, evaluate, run
 from .verification import run_all_sweeps
 
@@ -91,16 +91,19 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _parse_block(text: str) -> frozenset[int]:
-    return frozenset(int(tok) for tok in text.replace(",", " ").split())
+    block = frozenset(int(tok) for tok in text.replace(",", " ").split())
+    if not block:
+        raise argparse.ArgumentTypeError("must name at least one variable")
+    return block
 
 
 def _parse_rho(text: str) -> dict[int, int]:
     rho = {}
-    if not text:
-        return rho
-    for item in text.replace(";", ",").split(","):
+    for item in text.replace(";", ",").split(",") if text else ():
         var, _, bit = item.partition("=")
-        rho[int(var.strip())] = int(bit.strip())
+        if int(var) in rho:
+            raise argparse.ArgumentTypeError(f"variable {int(var)} is assigned twice")
+        rho[int(var)] = int(bit)
     return rho
 
 
@@ -180,9 +183,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_squeeze(args) -> int:
     circuit = fileio.read_circuit(args.circuit).check()
-    block = _parse_block(args.block) if args.block else frozenset(circuit.variable_indices)
-    rho = _parse_rho(args.rho or "")
-    f_rho = restrict(circuit, block, rho)
+    block = frozenset(circuit.variable_indices) if args.block is None else args.block
+    f_rho = restrict(circuit, block, args.rho)
     squeezed = squeeze_all(f_rho, None, tol=args.tol, verify=not args.no_verify)
     if args.output:
         fileio.write_circuit(squeezed.circuit, args.output)
@@ -390,10 +392,10 @@ def _build_parser() -> _Parser:
 
     p = add("squeeze", _cmd_squeeze, help="restrict to a block and squeeze every path")
     p.add_argument("-c", "--circuit", required=True)
-    p.add_argument("--block", help="block variables, e.g. '1,2' (default: all)")
-    p.add_argument("--rho", help="outside assignment, e.g. '3=0,4=1'")
+    p.add_argument("--block", type=_parse_block, help="block variables, e.g. '1,2' (default: all)")
+    p.add_argument("--rho", type=_parse_rho, default={}, help="outside assignment, e.g. '3=0,4=1'")
     p.add_argument("-o", "--output", help="write the squeezed circuit here")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=SQUEEZE_TOL)
     p.add_argument("--no-verify", action="store_true")
 
     p = add("nechiporuk", _cmd_nechiporuk, help="subfunction counts and the size bound")

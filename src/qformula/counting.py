@@ -19,8 +19,8 @@ Three bound evaluators and one desk-scale witness:
   products, in stacks of at most ``simulator.CHUNK_AMPLITUDES``
   amplitudes.  Every labeling shares them: its p on every output line is
   read from |U|^2 at its input columns.  A p within ``BOUNDARY_TOL`` of
-  1/3 or 2/3 is re-decided by ``final_states`` on that one circuit, so
-  the verdicts are the step-order state vector's.
+  1/3 or 2/3 (``simulator._near``) is re-decided by the step-order state
+  vector on that one circuit, so the verdicts are the oracle's.
 
 Every bound is computed once, in log2, so no size overflows; a linear
 value is reported only while it is a finite float, else None.  A lattice
@@ -36,10 +36,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, constant, variable
+from .circuit import UNITARY_TOL, Circuit, Gate, constant, variable
 from . import simulator
 from .gates import H, I2, X, capped_matmul, unitary_deviation
-from .simulator import BOUNDARY_TOL, _line_values, _operator, decide, final_states
+from .simulator import _line_values, _near, _operator, decide
 
 E = math.e
 
@@ -261,7 +261,7 @@ class GateNet:
             dim = m.shape[0]
             if m.shape != (dim, dim) or dim & (dim - 1):
                 raise ValueError(f"net gate {name!r} is not square power-of-two sized")
-            if unitary_deviation(m) > 1e-10:
+            if unitary_deviation(m) > UNITARY_TOL:
                 raise ValueError(f"net gate {name!r} is not unitary")
             m.setflags(write=False)
             frozen.append((name, m))
@@ -318,7 +318,7 @@ def _sequence_operators(operators: list[np.ndarray], num_gates: int, dim: int, s
 
 def _scan(n: int, num_gates: int, net: GateNet, num_qubits: int, arity_bound: int):
     """(first, labeling, p) per chunk: p[i, o, l, a] is the acceptance
-    probability, read from |U|^2 (from ``final_states`` near a threshold),
+    probability, read from |U|^2 (from ``simulator._scan`` near a threshold),
     of gate sequence first + i on output line o under labeling labeling + l
     at assignment a (x1 most significant).  Labelings and gate sequences
     are numbered in ``itertools.product`` order."""
@@ -346,13 +346,11 @@ def _scan(n: int, num_gates: int, net: GateNet, num_qubits: int, arity_bound: in
         per = max(1, simulator.CHUNK_AMPLITUDES // ((len(ops) * m) << n))  # labelings per chunk
         for lo in range(0, len(labelings), per):
             p = accept[:, :, columns[lo:lo + per]]
-            near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
-            for i, o, l in zip(*np.nonzero(near.any(axis=-1))):
+            for i, o, l in zip(*np.nonzero(_near(p).any(axis=-1))):
                 digits = np.unravel_index(first + i, (len(placements),) * num_gates)
                 gates = [Gate(k + 1, placements[d][1], placements[d][0]) for k, d in enumerate(digits)]
                 circuit = Circuit(m, labelings[lo + l], gates, o, arity_bound)
-                others = tuple(q for q in range(m) if q != o)
-                p[i, o, l] = (np.abs(final_states(circuit, 0, 2 ** n)) ** 2).sum(axis=others)[1]
+                p[i, o, l] = simulator._scan(circuit, 0, 2 ** n)
             yield first, lo, p
 
 

@@ -44,7 +44,8 @@ from .analysis import (
     path_segments,
     path_sets,
 )
-from .circuit import Circuit, Gate, InputLabel, constant, variable
+from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, constant, variable
+from .gates import unitary_deviation
 from .simulator import final_states, probability_vector
 
 RECONSTRUCTION_TOL = 1e-10
@@ -67,7 +68,8 @@ class VerificationError(AssertionError):
 
 
 def restrict(formula: Circuit, block, rho: Mapping[int, int]) -> Circuit:
-    """Fix every variable outside ``block`` to the bit given by ``rho``.
+    """Fix every variable outside ``block`` to the bit given by ``rho``,
+    which names no other variable.
 
     The remaining block variables are renumbered 1..k in ascending
     original order so the result is a self-contained circuit computing
@@ -81,6 +83,9 @@ def restrict(formula: Circuit, block, rho: Mapping[int, int]) -> Circuit:
     missing = outside - set(rho)
     if missing:
         raise ValueError(f"restriction must assign every outside variable; missing {sorted(missing)}")
+    stray = set(rho) - outside
+    if stray:
+        raise ValueError(f"restriction may assign only outside variables of the formula; got {sorted(stray)}")
     bad = [v for v in rho if rho[v] not in (0, 1)]
     if bad:
         raise ValueError(f"restriction values must be bits; got {[(v, rho[v]) for v in bad]}")
@@ -235,7 +240,7 @@ def squeeze_path(
     segment: PathSegment,
     companions_info: CompanionSet | None = None,
     *,
-    rank_tol: float = 1e-9,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> SqueezeRecord:
     """Simulate a segment's action and factor it over an orthonormal
     basis of the companion register.
@@ -336,8 +341,8 @@ def build_composite_gate(
     # column (a0a1 << 4) | j of u is the specified column a0a1 at j = 0, else a free one
     u = np.concatenate([columns[:, :, None], q[:, 4:].reshape(dim, 4, -1)], axis=2)
     u = u.reshape(dim, dim)
-    deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if deviation > 1e-10:
+    deviation = unitary_deviation(u)
+    if deviation > UNITARY_TOL:
         raise NumericalError(f"completed gate deviates from unitarity by {deviation:.3e}")
     return Gate(step=1, targets=tuple(targets), matrix=u)
 
@@ -369,7 +374,7 @@ def squeeze_all(
     f_rho: Circuit,
     block=None,
     *,
-    rank_tol: float = 1e-9,
+    rank_tol: float = DEFAULT_RANK_TOL,
     verify: bool = True,
     tol: float = SQUEEZE_TOL,
 ) -> SqueezedCircuit:

@@ -51,11 +51,11 @@ multiply-adds in one call when BLAS may run on more than one thread.
 
 ``evaluate`` dispatches on ``is_formula``: formulas take the
 contraction, everything else the pruned, fused state vector.  Either
-way an assignment whose p lands within 1e-12 of a threshold is
-re-decided by ``run`` on the light cone's gates, unfused and in step
-order, on the cone's lines, so the verdict is the oracle's.  One threshold
-rule, ``decide``, turns probabilities into verdicts for ``evaluate``
-and for the counting module.  All batched paths check every
+way an assignment whose p lands within 1e-12 of a threshold (``_near``)
+is re-decided by the step-order state vector on the light cone's gates,
+unfused, on the cone's lines, so the verdict is the oracle's.  One
+threshold rule, ``decide``, and one guard band, ``_near``, serve
+``evaluate`` and the counting module.  All batched paths check every
 assignment's norm (or trace) against 1 within 1e-10.  Everything here
 is deterministic and side-effect free.
 """
@@ -215,11 +215,7 @@ def output_probability(state: np.ndarray, output_qubit: int, num_qubits: int) ->
 
 
 def run(
-    circuit: Circuit,
-    assignment,
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    check: bool = True,
+    circuit: Circuit, assignment, *, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> tuple[np.ndarray, Outcome]:
     """Execute the circuit on one assignment; returns (state, outcome).
 
@@ -228,8 +224,7 @@ def run(
     slipped past validation.
     """
     _require_cap(circuit, max_qubits)
-    if check:
-        circuit.check()
+    circuit.check()
     m = circuit.num_qubits
     buffer = initial_state(circuit, assignment)
     tensor = buffer.reshape([2] * m)
@@ -242,10 +237,15 @@ def run(
     return state, output_probability(state, circuit.output_qubit, m)
 
 
-def _evolve(circuit: Circuit, gates, lo: int, hi: int, buffers=(None, None)) -> np.ndarray:
-    """Apply ``gates`` in order to the input states of assignments lo..hi-1.
-    ``buffers``: the batch array and the kernel's scratch, flat arrays of
-    at least 2^m (hi - lo) entries reused across batches, or None."""
+def final_states(circuit: Circuit, lo: int, hi: int, buffers=(None, None)) -> np.ndarray:
+    """Final states of assignments lo..hi-1 (scan order) as one batch.
+
+    The result has one axis per qubit and a trailing batch axis of size
+    hi - lo.  Gates run in step order; the circuit is not re-checked and
+    the caller sizes the batch.  ``buffers``: the batch array and the
+    kernel's scratch, flat arrays of at least 2^m (hi - lo) entries
+    reused across batches, or None.
+    """
     m, size = circuit.num_qubits, hi - lo
     index = (1 << np.arange(m - 1, -1, -1)) @ _line_values(circuit, lo, hi)
     buffer = np.empty(size << m, complex) if buffers[0] is None else buffers[0]
@@ -253,35 +253,26 @@ def _evolve(circuit: Circuit, gates, lo: int, hi: int, buffers=(None, None)) -> 
     state.fill(0)
     state[index, np.arange(size)] = 1.0
     tensor = state.reshape([2] * m + [size])
-    for gate in gates:
+    for gate in circuit.gates:
         tensor = _apply(tensor, gate, state, buffers[1])
     return tensor
 
 
-def final_states(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
-    """Final states of assignments lo..hi-1 (scan order) as one batch.
-
-    The result has one axis per qubit and a trailing batch axis of size
-    hi - lo.  Gates run in step order; the circuit is not re-checked and
-    the caller sizes the batch.
-    """
-    return _evolve(circuit, circuit.gates, lo, hi)
-
-
-def _scan(circuit: Circuit, gates, budget: int):
-    """p1 and the final norm of every assignment after ``gates``, in
-    batches of at most ``budget`` amplitudes (at least one assignment);
-    several batches share one batch array and one kernel scratch."""
-    m, n = circuit.num_qubits, circuit.num_variables
+def _scan(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
+    """p1 of assignments lo..hi-1 in step order, checking every final
+    norm, in batches of at most ``CHUNK_AMPLITUDES`` amplitudes (at least
+    one assignment) that share one batch array and one kernel scratch."""
+    m = circuit.num_qubits
     others = tuple(q for q in range(m) if q != circuit.output_qubit)
-    batch = min(max(1, budget >> m), 2 ** n)
-    buffers = [np.empty(batch << m, complex) if batch < 2 ** n else None for _ in range(2)]
-    p, norms = np.empty(2 ** n), np.empty(2 ** n)
-    for lo in range(0, 2 ** n, batch):
-        hi = min(lo + batch, 2 ** n)
-        marginal = (np.abs(_evolve(circuit, gates, lo, hi, buffers)) ** 2).sum(axis=others)
-        p[lo:hi], norms[lo:hi] = marginal[1], np.sqrt(marginal.sum(axis=0))
-    return p, norms
+    batch = min(max(1, CHUNK_AMPLITUDES >> m), hi - lo)
+    buffers = [np.empty(batch << m, complex) if batch < hi - lo else None for _ in range(2)]
+    p = np.empty(hi - lo)
+    for start in range(lo, hi, batch):
+        stop = min(start + batch, hi)
+        marginal = (np.abs(final_states(circuit, start, stop, buffers)) ** 2).sum(axis=others)
+        p[start - lo:stop - lo] = marginal[1]
+        _check_drift(np.sqrt(marginal.sum(axis=0)), start, circuit.num_variables, "state norm")
+    return p
 
 
 def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
@@ -292,9 +283,7 @@ def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS
     """
     _require_cap(circuit, max_qubits)
     circuit.check()
-    p, norms = _scan(circuit, circuit.gates, CHUNK_AMPLITUDES)
-    _check_drift(norms, 0, circuit.num_variables, "state norm")
-    return p
+    return _scan(circuit, 0, 2 ** circuit.num_variables)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +611,12 @@ class FunctionVerdict:
 COMPUTES = FunctionVerdict("computes")
 
 
+def _near(p) -> np.ndarray:
+    """Where p lies within ``BOUNDARY_TOL`` of 1/3 or 2/3: the guard band
+    whose verdicts the step-order state vector re-decides."""
+    return (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
+
+
 def decide(p) -> np.ndarray:
     """The threshold rule: 1 where p > 2/3, 0 where p < 1/3, -1 otherwise.
 
@@ -654,9 +649,9 @@ def evaluate(
     ``contract_formula``, which has no line cap; other circuits through
     the pruned, fused state vector, capped at ``max_qubits`` cone lines.  An
     assignment whose p lands within 1e-12 of a threshold is re-decided
-    by ``run`` on the cone circuit (the graph's gates, unfused, in step
-    order, on the cone's lines) when the cone fits under ``max_qubits``,
-    so the verdict is the step-order state vector's.
+    by the step-order state vector on the cone circuit (the graph's
+    gates, unfused, on the cone's lines) when the cone fits under
+    ``max_qubits``, so the verdict is the oracle's.
     """
     circuit.check()
     n = circuit.num_variables
@@ -669,14 +664,14 @@ def evaluate(
         p = contract_formula(circuit)
     else:
         p = _probabilities(circuit, _fused_schedule(circuit), max_qubits)
-    near = (np.abs(p - 1 / 3) <= BOUNDARY_TOL) | (np.abs(p - 2 / 3) <= BOUNDARY_TOL)
-    if near.any():
+    near = np.flatnonzero(_near(p))
+    if near.size:
         graph = computation_graph(circuit)
         cone, scanned = _cone(circuit, [circuit.gates[s - 1] for s in graph.gate_steps])
-        for idx in np.flatnonzero(near) if cone.num_qubits <= max_qubits else ():
-            alpha = _alpha(int(idx), n)
-            p[idx] = run(cone, [alpha[j - 1] for j in scanned],
-                         max_qubits=max_qubits, check=False)[1].p1
+        for idx in near if cone.num_qubits <= max_qubits else ():
+            # the cone's scan index: its x_i is the circuit's x_scanned[i-1]
+            local = sum((int(idx) >> (n - j) & 1) << i for i, j in enumerate(scanned[::-1]))
+            p[idx] = _scan(cone, local, local + 1)[0]
     return verdict(p, bits)
 
 

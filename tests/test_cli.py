@@ -61,6 +61,18 @@ def test_analyze_formula_blocks(tmp_path, capsys):
     assert by_block[(1,)]["intersection_gates"] == 1
 
 
+def test_analyze_reads_a_partition_file(tmp_path, capsys):
+    circuit_path, partition_path = tmp_path / "two_path.json", tmp_path / "two_path.part"
+    write_circuit(two_path_example(), circuit_path)
+    partition_path.write_text("1 2\n1\n2\n")
+    code, out, _ = run_cli(capsys, "analyze", "--json", "-c", str(circuit_path),
+                           "-p", str(partition_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert [(b["block"], b["s_j"], b["paths"]) for b in payload["blocks"]] == [
+        ([1, 2], 2, 2), ([1], 1, 1), ([2], 1, 1)]
+
+
 def test_verify_lemmas_passes_and_is_deterministic(capsys):
     code, first, _ = run_cli(capsys, "verify-lemmas", "--seed", "7", "--cases", "60")
     assert code == 0
@@ -78,6 +90,23 @@ def test_simulate_reports_probability(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", "-c", str(path), "-a", "11", "--json")
     assert code == 0
     assert json.loads(out)["p1"] == pytest.approx(1.0)
+
+
+def test_simulate_rejects_an_assignment_that_is_not_bits(tmp_path, capsys):
+    path = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), path)
+    code, out, err = run_cli(capsys, "simulate", "-c", str(path), "-a", "01x")
+    assert (code, out) == (1, "")
+    assert "assignment must be a 0/1 string" in err
+
+
+def test_evaluate_rejects_a_table_over_other_variables(tmp_path, capsys):
+    circuit_path, table_path = tmp_path / "two_path.json", tmp_path / "three.tt"
+    write_circuit(two_path_example(), circuit_path)
+    write_truth_table(3, [0] * 8, table_path)
+    code, out, err = run_cli(capsys, "evaluate", "-c", str(circuit_path), "-f", str(table_path))
+    assert (code, out) == (1, "")
+    assert "table over 3 variables, circuit uses 2" in err
 
 
 def test_evaluate_verdict(tmp_path, capsys):
@@ -470,6 +499,33 @@ def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol)
     assert "--tol: must be a finite number >= 0" in captured.err
 
 
+@pytest.mark.parametrize("options, code, message", [
+    (["--block=1", "--rho=2=0,2=1"], 64, "--rho: variable 2 is assigned twice"),
+    (["--block=1", "--rho=2=1,1=0"], 1, "only outside variables of the formula; got [1]"),
+    (["--block=1", "--rho=2=1,9=1"], 1, "only outside variables of the formula; got [9]"),
+    (["--block="], 64, "--block: must name at least one variable"),
+], ids=["repeated-variable", "block-variable", "unknown-variable", "empty-block"])
+def test_squeeze_rejects_a_malformed_block_or_restriction(tmp_path, capsys, options, code, message):
+    source = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), source)
+    try:
+        got = main(["squeeze", "--json", "-c", str(source), *options])
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert message in captured.err
+
+
+def test_squeeze_with_a_block_and_its_restriction(tmp_path, capsys):
+    source = tmp_path / "two_path.json"
+    write_circuit(two_path_example(), source)
+    for rho in ("--rho=2=0", "--rho= 2 = 1 "):
+        code, out, _ = run_cli(capsys, "squeeze", "--json", "-c", str(source), "--block=1", rho)
+        assert code == 0
+        assert json.loads(out)["max_probability_deviation"] <= 1e-9
+
+
 @pytest.mark.parametrize("argv, code", [
     (["appendix", "-n", "1", "-N", "1", "-d", str(10 ** 12)], 1),
     (["equiv", "-n", "1", "-N", "2", "-d", str(10 ** 12)], 0),
@@ -570,4 +626,47 @@ def test_integer_options_exit_with_a_documented_code_and_no_traceback(argv):
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()
     if "--json" in argv and (code == 0 or out.getvalue()):
+        _strict_json(out.getvalue())
+
+
+# the string options, drawn from the characters their parsers split on,
+# bits, a variable the sample lacks and junk, or left out
+_STRINGS = st.text("0129x=,; -", max_size=8)
+
+
+@st.composite
+def string_options(draw):
+    if draw(st.booleans()):
+        options = ["simulate", f"--assignment={draw(_STRINGS)}"]
+    else:
+        options = ["squeeze"]
+        for option in ("--block", "--rho"):
+            value = draw(st.none() | _STRINGS)
+            options += [] if value is None else [f"{option}={value}"]
+    return options + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(string_options())
+@example(["squeeze", "--block=1", "--rho=2=0,2=1"])
+@example(["squeeze", "--block=1", "--rho=2=1,1=0"])
+@example(["squeeze", "--block=1", "--rho=2=1,9=1", "--json"])
+@example(["squeeze", "--block="])
+@example(["simulate", "--assignment=01x", "--json"])
+def test_string_options_exit_with_a_documented_code_and_no_traceback(tmp_path_factory, options):
+    source = tmp_path_factory.getbasetemp() / "string_options.json"
+    if not source.exists():
+        write_circuit(two_path_example(), source)
+    argv = [options[0], "-c", str(source), *options[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)  # any other exception fails the test: a traceback
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+    elif "--json" in argv:
         _strict_json(out.getvalue())

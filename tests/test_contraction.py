@@ -386,15 +386,15 @@ def test_products_are_sliced_exactly_when_openblas_may_thread(setting):
 
 
 def counted_batches(monkeypatch):
-    """Count the batches the step-order state vector runs, one ``_evolve`` call each."""
+    """Count the batches the step-order state vector runs, one ``final_states`` call each."""
     calls = []
-    real = simulator._evolve
+    real = simulator.final_states
 
-    def counting(circuit, gates, lo, hi, *args):
+    def counting(circuit, lo, hi, *args):
         calls.append(hi - lo)
-        return real(circuit, gates, lo, hi, *args)
+        return real(circuit, lo, hi, *args)
 
-    monkeypatch.setattr(simulator, "_evolve", counting)
+    monkeypatch.setattr(simulator, "final_states", counting)
     return calls
 
 
@@ -660,15 +660,17 @@ def rotation_formula(p0):
 
 
 @pytest.fixture
-def run_calls(monkeypatch):
+def redecided(monkeypatch):
+    """The assignments, x1 first, that the step-order scan runs: in
+    ``evaluate``, the re-decisions, each an assignment of the cone circuit."""
     calls = []
-    real_run = simulator.run
+    real_scan = simulator._scan
 
-    def counting_run(circuit, assignment, **kwargs):
-        calls.append(tuple(assignment))
-        return real_run(circuit, assignment, **kwargs)
+    def counting_scan(circuit, lo, hi):
+        calls.extend(simulator._alpha(a, circuit.num_variables) for a in range(lo, hi))
+        return real_scan(circuit, lo, hi)
 
-    monkeypatch.setattr(simulator, "run", counting_run)
+    monkeypatch.setattr(simulator, "_scan", counting_scan)
     return calls
 
 
@@ -677,10 +679,10 @@ def run_calls(monkeypatch):
     [(-5e-13, "computes"), (5e-13, "undetermined")],
     ids=["just-outside-the-band", "just-inside-the-band"],
 )
-def test_p_within_1e_12_of_a_threshold_is_redecided_by_run(run_calls, offset, status):
+def test_p_within_1e_12_of_a_threshold_is_redecided_by_the_scan(redecided, offset, status):
     c = rotation_formula(1 / 3 + offset)
     got = evaluate(c, [0, 1])
-    assert run_calls == [(0,), (1,)]  # p0 near 1/3, p1 near 2/3
+    assert redecided == [(0,), (1,)]  # p0 near 1/3, p1 near 2/3
     assert got.status == status == scan_verdict(c, [0, 1])[0]
 
 
@@ -701,14 +703,14 @@ def rotation_nonformula(p0):
     [(-5e-13, "computes"), (5e-13, "undetermined")],
     ids=["just-outside-the-band", "just-inside-the-band"],
 )
-def test_non_formula_p_within_1e_12_of_a_threshold_is_redecided_by_run(
-    run_calls, offset, status
+def test_non_formula_p_within_1e_12_of_a_threshold_is_redecided_by_the_scan(
+    redecided, offset, status
 ):
     c = rotation_nonformula(1 / 3 + offset)
     assert not is_formula(c)
     assert np.max(np.abs(fused_probabilities(c) - [1 / 3 + offset, 2 / 3 - offset])) <= TOL
     got = evaluate(c, [0, 1])
-    assert run_calls == [(0,), (1,)]
+    assert redecided == [(0,), (1,)]
     assert got.status == status == scan_verdict(c, [0, 1])[0]
 
 
@@ -724,14 +726,49 @@ def swap_nonformula(p0, width):
     )
 
 
-def test_boundary_redecision_runs_on_the_cone_whatever_the_width(run_calls):
+def test_boundary_redecision_runs_on_the_cone_whatever_the_width(redecided):
     narrow, padded = swap_nonformula(1 / 3 + 5e-13, 3), swap_nonformula(1 / 3 + 5e-13, 21)
     assert not is_formula(narrow) and not is_formula(padded)
     got = evaluate(narrow, [0, 1])
-    assert run_calls == [(0,), (1,)]
+    assert redecided == [(0,), (1,)]
     assert evaluate(padded, [0, 1]) == got
-    assert run_calls == [(0,), (1,)] * 2
+    assert redecided == [(0,), (1,)] * 2
     assert got.status == "undetermined" == scan_verdict(narrow, [0, 1])[0]
+
+
+def off_cone_nonformula(p0):
+    """``rotation_nonformula`` on lines 0-2 after a first gate on lines 3
+    and 4, which carry x2 and a constant and lie outside the light cone."""
+    s, c = np.sqrt(p0), np.sqrt(1 - p0)
+    return build_circuit(
+        5, [variable(1), constant(0), constant(0), variable(2), constant(0)],
+        [((3, 4), CNOT), ((0,), np.array([[c, -s], [s, c]])), ((0, 1), CNOT), ((1, 2), CNOT),
+         ((0, 2), np.diag([1, 1, 1, -1]))],
+        output_qubit=0,
+    )
+
+
+def off_graph_formula(p0):
+    """``rotation_formula`` on line 0, then a gate on line 1, which carries
+    x2 and lies off the computation graph."""
+    s, c = np.sqrt(p0), np.sqrt(1 - p0)
+    return build_circuit(2, [variable(1), variable(2)],
+                         [((0,), np.array([[c, -s], [s, c]])), ((1,), H)], output_qubit=0)
+
+
+@pytest.mark.parametrize("offset", [-5e-13, 5e-13], ids=["outside-the-band", "inside-the-band"])
+@pytest.mark.parametrize("build, formula", [(off_cone_nonformula, False), (off_graph_formula, True)],
+                         ids=["non-formula-off-cone-first-gate", "formula-off-graph-gate"])
+def test_boundary_redecision_on_a_cone_that_drops_a_gate(redecided, build, formula, offset):
+    c = build(1 / 3 + offset)
+    assert is_formula(c) == formula
+    assert len(computation_graph(c).gate_steps) == len(c.gates) - 1
+    bits = [0, 0, 1, 1]  # x1, the only variable on the cone
+    got = evaluate(c, bits)
+    assert redecided == [(0,), (0,), (1,), (1,)]  # every p is near a threshold
+    expected = verdict(probability_vector(c), bits)
+    assert (got.status, got.alpha) == (expected.status, expected.alpha)
+    assert got.status == ("computes" if offset < 0 else "undetermined")
 
 
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
@@ -745,10 +782,10 @@ def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true
     assert (got.status, got.alpha) == scan_verdict(c, [0, 1])[:2]
 
 
-def test_p_outside_the_guard_window_is_not_redecided(run_calls):
+def test_p_outside_the_guard_window_is_not_redecided(redecided):
     c = rotation_formula(1 / 3 - 1e-11)
     assert evaluate(c, [0, 1]).computes
-    assert run_calls == []
+    assert redecided == []
 
 
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])

@@ -311,17 +311,17 @@ def test_near_threshold_p_is_redecided_by_the_state_vector(monkeypatch):
     c, s = math.sqrt(2 / 3), math.sqrt(1 / 3)
     net = GateNet.of([("R", np.array([[c, -s], [s, c]])), ("X", X), ("CNOT", CNOT)])
     scale = math.sqrt(1 + 1e-13) if s * s < 1 / 3 else math.sqrt(1 - 1e-13)
-    calls, original_states, original_stacks = [], counting.final_states, counting._sequence_operators
+    calls, original_scan, original_stacks = [], simulator._scan, counting._sequence_operators
 
     def counted(circuit, lo, hi):
         calls.append(circuit)
-        return original_states(circuit, lo, hi)
+        return original_scan(circuit, lo, hi)
 
     def scaled(*args):
         for first, ops in original_stacks(*args):
             yield first, ops * scale
 
-    monkeypatch.setattr(counting, "final_states", counted)
+    monkeypatch.setattr(simulator, "_scan", counted)
     monkeypatch.setattr(counting, "_sequence_operators", scaled)
     assert decide(s * s * scale ** 2) != decide(s * s)
     _assert_scan_equals_oracle(1, 2, net, 2)

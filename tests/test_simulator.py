@@ -112,6 +112,17 @@ def test_evaluate_x_fails_identity_table():
     assert verdict.p == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("table, message", [
+    ([0, 0, 1], "truth table has 3 entries, expected 4"),
+    ([0, 0, 0, 0, 0, 0, 0, 1], "truth table has 8 entries, expected 4"),
+    ([0, 0, 2, 1], "entries must be 0/1"),
+    ([0, 0, 0.5, 1], "entries must be 0/1"),
+])
+def test_evaluate_rejects_a_malformed_table(table, message):
+    with pytest.raises(SimulationError, match=message):
+        evaluate(toffoli_and_circuit(), table)
+
+
 def test_stepwise_simulation_matches_full_operator():
     c = formula_example()
     full = to_unitary(c)
