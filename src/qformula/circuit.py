@@ -14,16 +14,21 @@ Conventions fixed here and relied on everywhere else:
 * Gate steps are 1-based and must be strictly increasing; the file
   format additionally requires them to be consecutive 1..t.
 
-All types are immutable; operations on them are pure functions.
+All types are immutable; operations on them are pure functions.  So
+what a check derives is kept on the checked object and never recomputed:
+each gate keeps its unitarity deviation, which travels with the gate
+into every circuit that reuses it (``relabel``, ``Gate.moved``); a
+circuit keeps its ``check()`` verdict and its computation graph.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gates import unitary_deviation
+from .gates import unitary_deviations
 
 UNITARY_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-9
@@ -77,7 +82,8 @@ class Gate:
     """One unitary gate: position in the sequence, targets, matrix.
 
     ``targets`` are distinct qubit indices; the matrix has dimension
-    2^len(targets) and is stored as an immutable complex128 array.
+    2^len(targets) and is stored as an immutable complex128 array (a
+    copy).  ``deviation`` is computed once and kept on the gate.
     """
 
     step: int
@@ -94,8 +100,40 @@ class Gate:
     def arity(self) -> int:
         return len(self.targets)
 
+    @property
+    def deviation(self) -> float:
+        """Max-entry norm of U†U - I, as ``gates.unitary_deviations``
+        computes it; inf for a matrix that is not square or is empty."""
+        if "_deviation" not in self.__dict__:
+            _keep_deviations((self,))
+        return self.__dict__["_deviation"]
+
+    def moved(self, step: int, targets: Sequence[int]) -> "Gate":
+        """The same matrix at another step on other targets, with this
+        gate's deviation if it has been computed."""
+        gate = Gate(step=step, targets=targets, matrix=self.matrix)
+        if "_deviation" in self.__dict__:
+            object.__setattr__(gate, "_deviation", self.__dict__["_deviation"])
+        return gate
+
     def __repr__(self) -> str:
         return f"Gate(step={self.step}, targets={self.targets})"
+
+
+def _keep_deviations(gates: Iterable[Gate]) -> None:
+    """Compute and keep the deviation of every gate that lacks one: one
+    stacked product for all square matrices of one dimension."""
+    stacks: dict[tuple[int, ...], list[Gate]] = {}
+    for g in gates:
+        if "_deviation" not in g.__dict__:
+            stacks.setdefault(g.matrix.shape, []).append(g)
+    for shape, group in stacks.items():
+        if len(shape) == 2 and shape[0] == shape[1] > 0:
+            deviations = unitary_deviations(np.array([g.matrix for g in group])).tolist()
+        else:
+            deviations = [math.inf] * len(group)
+        for g, deviation in zip(group, deviations):
+            object.__setattr__(g, "_deviation", deviation)
 
 
 @dataclass(frozen=True)
@@ -127,8 +165,9 @@ class Circuit:
         return len(self.gates) + self.num_qubits
 
     def relabel(self, labels: Iterable[InputLabel]) -> "Circuit":
-        """The same gates on other labels.  The kept wiring, which reads no
-        label, carries over; the ``check()`` verdict does not."""
+        """The same gates on other labels.  The gates are the same objects,
+        so their kept deviations carry over, and so does the kept wiring,
+        which reads no label; the ``check()`` verdict does not."""
         circuit = replace(self, labels=tuple(labels))
         if "_graph" in self.__dict__:
             object.__setattr__(circuit, "_graph", self.__dict__["_graph"])
@@ -138,7 +177,9 @@ class Circuit:
         """Raise InvalidCircuitError unless the circuit is well-formed.
 
         The circuit is immutable, so a successful check is remembered
-        and later calls return at once; ``validate`` always re-checks.
+        and later calls return at once; ``validate`` always re-checks
+        (the wiring and labels; each gate's deviation is kept on the gate,
+        so a circuit built from checked gates costs no unitarity product).
         """
         if "_valid" not in self.__dict__:
             report = validate(self)
@@ -165,7 +206,10 @@ def validate(circuit: Circuit) -> ValidationReport:
     Checks: label shape, variable-index contiguity, gate target ranges
     and distinctness, arity against the circuit's arity bound, matrix
     dimension, unitarity within 1e-10, step monotonicity/consecutiveness
-    and output-qubit range.
+    and output-qubit range.  The deviations of gates that lack one are
+    computed first, one stacked product per matrix dimension, and kept on
+    the gates; a matrix with an entry that is not finite is reported as
+    such, not as non-unitary.
     """
     v: list[str] = []
     m = circuit.num_qubits
@@ -182,6 +226,7 @@ def validate(circuit: Circuit) -> ValidationReport:
     if used and used != list(range(1, len(used) + 1)):
         v.append(f"variable indices are not contiguous from 1: {used}")
 
+    _keep_deviations(circuit.gates)
     prev_step = 0
     for g in circuit.gates:
         where = f"step {g.step}"
@@ -199,12 +244,11 @@ def validate(circuit: Circuit) -> ValidationReport:
         dim = 2 ** g.arity
         if g.matrix.shape != (dim, dim):
             v.append(f"matrix shape {g.matrix.shape} does not match {g.arity} targets at {where}")
-        elif not np.isfinite(g.matrix).all():
-            v.append(f"non-finite matrix entry at {where}")
-        else:
-            dev = unitary_deviation(g.matrix)
-            if dev > UNITARY_TOL:
-                v.append(f"non-unitary at {where} (deviation {dev:.3e})")
+        elif g.deviation > UNITARY_TOL:  # an entry that is not finite makes it inf
+            if not np.isfinite(g.matrix).all():
+                v.append(f"non-finite matrix entry at {where}")
+            else:
+                v.append(f"non-unitary at {where} (deviation {g.deviation:.3e})")
     return ValidationReport(tuple(v))
 
 

@@ -70,7 +70,10 @@ def _positive_int(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)  # argparse turns a ValueError into a usage error
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
     if not 0.0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
@@ -91,7 +94,10 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _parse_block(text: str) -> frozenset[int]:
-    block = frozenset(int(tok) for tok in text.replace(",", " ").split())
+    try:
+        block = frozenset(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"variables must be integers, got {text!r}") from None
     if not block:
         raise argparse.ArgumentTypeError("must name at least one variable")
     return block
@@ -100,10 +106,13 @@ def _parse_block(text: str) -> frozenset[int]:
 def _parse_rho(text: str) -> dict[int, int]:
     rho = {}
     for item in text.replace(";", ",").split(",") if text else ():
-        var, _, bit = item.partition("=")
-        if int(var) in rho:
-            raise argparse.ArgumentTypeError(f"variable {int(var)} is assigned twice")
-        rho[int(var)] = int(bit)
+        try:
+            var, bit = (int(part) for part in item.split("="))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"each item must be VAR=BIT, got {item!r}") from None
+        if var in rho:
+            raise argparse.ArgumentTypeError(f"variable {var} is assigned twice")
+        rho[var] = bit
     return rho
 
 

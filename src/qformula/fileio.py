@@ -14,7 +14,10 @@ builds the text itself: an entry whose parts are both +0.0 is the one
 shared string ``"[0.0, 0.0]"``, and only the other entries become Python
 floats, spelled as ``json`` spells them (repr, or ``NaN``/``Infinity``/
 ``-Infinity``).  Floats keep repr precision, so a write/read round trip
-reproduces every matrix bit-exactly.  Integer fields reject JSON
+reproduces every matrix bit-exactly.  The reader decodes a matrix whose
+entries are all [re, im] pairs of JSON numbers in one numpy conversion,
+bit for bit ``complex(re, im)`` per entry; only a matrix with a bad entry
+is walked entry by entry, to name the first one.  Integer fields reject JSON
 booleans; a label has a ``var`` or a ``const``, not both.  A field the
 format does not name, at the top level or in a label or gate object, is
 rejected rather than ignored, so a misspelt ``arity_bound`` cannot
@@ -32,6 +35,7 @@ objects, each matrix 4^k entries for k >= 1, read like a gate's.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -119,6 +123,13 @@ def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
         len(entries) == dim * dim,
         f"{where}: matrix must have {dim * dim} entries for {arity} targets, got {len(entries)}",
     )
+    try:  # [re, im] pairs of JSON numbers (no bool, no string): one conversion
+        if set(map(type, chain.from_iterable(entries))) <= {int, float}:
+            pairs = np.array(entries, dtype=float)
+            if pairs.shape == (dim * dim, 2):
+                return pairs.view(complex).reshape(dim, dim)
+    except (TypeError, ValueError, OverflowError):
+        pass  # the loop names the first bad entry
     values = []
     for i, pair in enumerate(entries):
         _require(

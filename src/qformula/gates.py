@@ -94,32 +94,43 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def capped_matmul(matrix: np.ndarray, flat: np.ndarray, out=None) -> np.ndarray:
-    """``matrix @ flat`` (``flat`` a matrix or a stack of them), written
-    to ``out`` when given; the result has ``matrix``'s row count.  A
-    product over a ``BLAS_SLICE_MACS`` cap goes as one stack of column
-    slices, as wide as fits (at least one column)."""
+    """``matrix @ flat`` (``flat`` a matrix or a stack of them, ``matrix``
+    one matrix or a stack of as many), written to ``out`` when given; the
+    result has ``matrix``'s row count.  A product over a
+    ``BLAS_SLICE_MACS`` cap goes as one stack of column slices, as wide as
+    fits (at least one column)."""
     *lead, dim, cols = flat.shape
-    rows = len(matrix)
+    rows = matrix.shape[-2]
     if BLAS_SLICE_MACS is None or rows * dim * cols <= BLAS_SLICE_MACS:
         return np.matmul(matrix, flat, out=out)
     width = math.gcd(cols, max(1, BLAS_SLICE_MACS // (rows * dim)))
     if out is None:
         out = np.empty((*lead, rows, cols), np.result_type(matrix, flat))
-    np.matmul(matrix, np.swapaxes(flat.reshape(*lead, dim, cols // width, width), -3, -2),
+    np.matmul(matrix[..., None, :, :],
+              np.swapaxes(flat.reshape(*lead, dim, cols // width, width), -3, -2),
               out=np.swapaxes(out.reshape(*lead, rows, cols // width, width), -3, -2))
     return out
 
 
-def unitary_deviation(matrix: np.ndarray) -> float:
-    """Max-entry norm of U†U - I (0 for an exact unitary).
+def unitary_deviations(stack: np.ndarray) -> np.ndarray:
+    """Max-entry norm of U†U - I for each matrix of a stack of square
+    matrices (0 for an exact unitary), from one stacked, capped product.
 
-    Entries near the float range overflow in the (capped) product; the
-    deviation is then inf, without a numpy warning.
+    A deviation that is not a number (a NaN entry) or that overflows the
+    float range (an entry that is not finite, or near the float range)
+    is inf, without a numpy warning.
     """
+    eye = np.eye(stack.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = capped_matmul(np.swapaxes(stack.conj(), -1, -2), stack)
+        deviations = np.abs(gram - eye).max(axis=(-2, -1))
+    deviations[np.isnan(deviations)] = np.inf
+    return deviations
+
+
+def unitary_deviation(matrix: np.ndarray) -> float:
+    """``unitary_deviations`` of one matrix; inf for one that is not square."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return float("inf")
-    eye = np.eye(matrix.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = float(np.abs(capped_matmul(matrix.conj().T, matrix) - eye).max())
-    return float("inf") if math.isnan(deviation) else deviation
+    return float(unitary_deviations(matrix[None])[0])

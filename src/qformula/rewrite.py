@@ -45,7 +45,6 @@ from .analysis import (
     path_sets,
 )
 from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, constant, variable
-from .gates import unitary_deviation
 from .simulator import final_states, probability_vector
 
 RECONSTRUCTION_TOL = 1e-10
@@ -69,16 +68,21 @@ class VerificationError(AssertionError):
 
 def restrict(formula: Circuit, block, rho: Mapping[int, int]) -> Circuit:
     """Fix every variable outside ``block`` to the bit given by ``rho``,
-    which names no other variable.
+    which names no other variable; ``block`` names only variables the
+    formula uses.
 
     The remaining block variables are renumbered 1..k in ascending
     original order so the result is a self-contained circuit computing
-    the subfunction.  Gates are untouched.
+    the subfunction.  The gates are the formula's own objects, so their
+    kept deviations carry over.
     """
     if not is_formula(formula):
         raise NotAFormulaError("restrict expects a formula")
     block = frozenset(int(j) for j in block)
     used = set(formula.variable_indices)
+    unused = block - used
+    if unused:
+        raise ValueError(f"block names variables the formula does not use: {sorted(unused)}")
     outside = used - block
     missing = outside - set(rho)
     if missing:
@@ -129,9 +133,7 @@ def decompose_disjoint(
             raise StructuralError(
                 f"gate at step {gate.step} straddles the two qubit sets: {gate.targets}"
             )
-    restep = lambda gs: tuple(
-        Gate(step=i + 1, targets=g.targets, matrix=g.matrix) for i, g in enumerate(gs)
-    )
+    restep = lambda gs: tuple(g.moved(i + 1, g.targets) for i, g in enumerate(gs))
     return restep(c1), restep(c2)
 
 
@@ -273,10 +275,7 @@ def squeeze_path(
     local_circuit = Circuit(
         num_qubits=width,
         labels=(variable(1), variable(2), *(circuit.labels[c] for c in order)),
-        gates=tuple(
-            Gate(step=g.step, targets=tuple(local[t] for t in g.targets), matrix=g.matrix)
-            for g in sim_gates
-        ),
+        gates=tuple(g.moved(g.step, [local[t] for t in g.targets]) for g in sim_gates),
         output_qubit=0,
     )
     vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
@@ -340,11 +339,10 @@ def build_composite_gate(
     q, _ = np.linalg.qr(columns, mode="complete")
     # column (a0a1 << 4) | j of u is the specified column a0a1 at j = 0, else a free one
     u = np.concatenate([columns[:, :, None], q[:, 4:].reshape(dim, 4, -1)], axis=2)
-    u = u.reshape(dim, dim)
-    deviation = unitary_deviation(u)
-    if deviation > UNITARY_TOL:
-        raise NumericalError(f"completed gate deviates from unitarity by {deviation:.3e}")
-    return Gate(step=1, targets=tuple(targets), matrix=u)
+    gate = Gate(step=1, targets=tuple(targets), matrix=u.reshape(dim, dim))
+    if gate.deviation > UNITARY_TOL:  # kept on the gate, which squeeze_all moves
+        raise NumericalError(f"completed gate deviates from unitarity by {gate.deviation:.3e}")
+    return gate
 
 
 @dataclass(frozen=True)
@@ -385,7 +383,11 @@ def squeeze_all(
     fresh |0> lines appear at the end of the qubit list; segments with
     no companions or with nothing strictly inside keep their original
     gates.  Gates outside the computation graph never influence the
-    output line and are pruned.  With ``verify`` the acceptance
+    output line and are pruned.  The output's gates are the kept input
+    gates and the composite gates, re-stepped with ``Gate.moved``, so
+    they keep the deviations that checking the input and completing the
+    composites computed: the output's ``check()`` re-checks its wiring
+    and labels but needs no unitarity product.  With ``verify`` the acceptance
     probabilities of input and output circuits are compared on every
     block assignment and a deviation beyond ``tol`` raises.
     """
@@ -424,7 +426,7 @@ def squeeze_all(
     line_map = {old: new for new, old in enumerate(kept_lines)}
     labels: list[InputLabel] = [f_rho.labels[q] for q in kept_lines]
     entries = [
-        (g.step, tuple(line_map[t] for t in g.targets), g.matrix)
+        (g.step, g, [line_map[t] for t in g.targets])
         for g in f_rho.gates if g.step not in deleted_steps
     ]
     # each composite gate acts on its head lines and four fresh |0> lines
@@ -433,13 +435,11 @@ def squeeze_all(
         gate = build_composite_gate(
             rec, (line_map[cs.q0], line_map[cs.q1], *range(fresh, fresh + FRESH_QUBITS))
         )
-        entries.append((cs.j0, gate.targets, gate.matrix))
+        entries.append((cs.j0, gate, gate.targets))
     labels.extend([constant(0)] * (FRESH_QUBITS * len(records)))
 
     entries.sort(key=lambda e: e[0])
-    gates = tuple(
-        Gate(step=i + 1, targets=t, matrix=m) for i, (_, t, m) in enumerate(entries)
-    )
+    gates = tuple(g.moved(i + 1, targets) for i, (_, g, targets) in enumerate(entries))
     key_to_step = {key: i + 1 for i, (key, _, _) in enumerate(entries)}
     arity = max([f_rho.arity_bound] + [COMPOSITE_ARITY] * (1 if records else 0))
     circuit = Circuit(

@@ -11,7 +11,7 @@ from qformula import (
     variable,
 )
 from qformula import gates
-from qformula.gates import CNOT, X, random_unitary, unitary_deviation
+from qformula.gates import CNOT, H, X, random_unitary, unitary_deviation
 
 
 def test_single_x_gate_circuit_is_valid():
@@ -119,6 +119,104 @@ def test_failed_check_is_not_remembered():
     for _ in range(2):
         with pytest.raises(InvalidCircuitError):
             c.check()
+
+
+def _malformed_circuits():
+    u64 = random_unitary(64, np.random.default_rng(0))
+    six = [variable(1), variable(2), constant(0), constant(0), constant(1), constant(0)]
+    nan, inf = np.array(X), np.array(X)
+    nan[0, 1], inf[1, 0] = np.nan, np.inf
+    mix = Circuit(
+        num_qubits=3, labels=(variable(1), variable(3), constant(0)),
+        gates=(Gate(1, (0,), np.diag([1, 2])), Gate(2, (0, 0), CNOT), Gate(4, (1,), nan),
+               Gate(5, (2, 3), CNOT), Gate(6, (0, 1, 2), np.eye(8)), Gate(7, (1,), np.eye(4)),
+               Gate(8, (0,), H), Gate(8, (1, 2), CNOT * 1.5), Gate(9, (), np.eye(1))),
+        output_qubit=3, arity_bound=2)
+    return {
+        "non-unitary-2x2": build_circuit(1, [variable(1)], [((0,), np.diag([1, 2]))], 0),
+        "non-unitary-64x64": build_circuit(
+            6, six, [((0, 1), CNOT), (range(6), u64), (range(6), u64 * (1 + 1e-6)), ((2,), H)], 0, 6),
+        "nan-entry": build_circuit(1, [variable(1)], [((0,), H), ((0,), nan)], 0),
+        "inf-entry": build_circuit(1, [variable(1)], [((0,), inf), ((0,), X)], 0),
+        "overflow": build_circuit(
+            1, [variable(1)], [((0,), np.array([[1e308, 1e308], [1e308, -1e308]]))], 0),
+        "wrong-shape": Circuit(2, (variable(1), constant(0)), (
+            Gate(1, (0,), CNOT), Gate(2, (0, 1), np.ones((2, 4))), Gate(3, (1,), [1, 0, 0, 1])), 0),
+        "empty-matrix": Circuit(
+            1, (variable(1),), (Gate(1, (0,), np.zeros((0, 0))), Gate(2, (), np.zeros((0, 0)))), 0),
+        "repeated-target": Circuit(2, (variable(1), constant(0)), (Gate(1, (1, 1), CNOT),), 0),
+        "step-gap": Circuit(2, (variable(1), constant(0)), (Gate(1, (0, 1), CNOT), Gate(3, (0,), X)), 0),
+        "mix": mix,
+    }
+
+
+# written from the report of the per-gate check that the stacked one replaced
+_MALFORMED_REPORTS = {
+    "non-unitary-2x2": ("non-unitary at step 1 (deviation 3.000e+00)",),
+    "non-unitary-64x64": ("non-unitary at step 3 (deviation 2.000e-06)",),
+    "nan-entry": ("non-finite matrix entry at step 2",),
+    "inf-entry": ("non-finite matrix entry at step 1",),
+    "overflow": ("non-unitary at step 1 (deviation inf)",),
+    "wrong-shape": (
+        "matrix shape (4, 4) does not match 1 targets at step 1",
+        "matrix shape (2, 4) does not match 2 targets at step 2",
+        "matrix shape (4,) does not match 1 targets at step 3",
+    ),
+    "empty-matrix": (
+        "matrix shape (0, 0) does not match 1 targets at step 1",
+        "gate with no targets at step 2",
+        "matrix shape (0, 0) does not match 0 targets at step 2",
+    ),
+    "repeated-target": ("repeated target at step 1: (1, 1)",),
+    "step-gap": ("gate steps not consecutive at step 3 (expected 2)",),
+    "mix": (
+        "output qubit 3 out of range [0, 3)",
+        "variable indices are not contiguous from 1: [1, 3]",
+        "non-unitary at step 1 (deviation 3.000e+00)",
+        "repeated target at step 2: (0, 0)",
+        "gate steps not consecutive at step 4 (expected 3)",
+        "non-finite matrix entry at step 4",
+        "target out of range at step 5: (2, 3)",
+        "arity exceeds bound at step 6: 3 > 2",
+        "matrix shape (4, 4) does not match 1 targets at step 7",
+        "gate steps not consecutive at step 8 (expected 9)",
+        "non-unitary at step 8 (deviation 1.250e+00)",
+        "gate with no targets at step 9",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_MALFORMED_REPORTS))
+def test_malformed_circuit_report_is_pinned(name):
+    c = _malformed_circuits()[name]
+    assert validate(c).violations == _MALFORMED_REPORTS[name]
+    assert validate(c).violations == _MALFORMED_REPORTS[name]  # from the kept deviations
+    with pytest.raises(InvalidCircuitError) as err:
+        c.check()
+    assert err.value.violations == _MALFORMED_REPORTS[name]
+
+
+def test_validate_stacks_one_product_per_dimension_and_keeps_it(monkeypatch):
+    import qformula.circuit as circuit_module
+
+    stacks = []
+    real = circuit_module.unitary_deviations
+    monkeypatch.setattr(circuit_module, "unitary_deviations", lambda s: stacks.append(s.shape) or real(s))
+    c = _malformed_circuits()["non-unitary-64x64"]
+    validate(c)
+    assert stacks == [(1, 4, 4), (2, 64, 64), (1, 2, 2)]
+    u64 = c.gates[1].matrix
+    assert c.gates[1].deviation == unitary_deviation(u64)
+    assert c.gates[2].deviation == unitary_deviation(c.gates[2].matrix) > 1e-6
+    validate(c)
+    validate(c.relabel([constant(0)] * 6))  # the same gates: no product
+    moved = c.gates[1].moved(1, (5, 4, 3, 2, 1, 0))
+    assert moved.matrix is not u64 and np.array_equal(moved.matrix, u64)
+    Circuit(6, c.labels, (moved,), 0, 6).check()
+    assert moved.deviation == c.gates[1].deviation and len(stacks) == 3
+    assert Gate(1, (0,), X).deviation == 0.0 and len(stacks) == 4  # a fresh gate: one stack of one
+    assert Gate(1, (0, 1), np.ones((2, 4))).deviation == float("inf") and len(stacks) == 4
 
 
 def test_labels_require_exactly_one_kind():

@@ -486,7 +486,7 @@ def test_verify_lemmas_without_cases_is_a_usage_error(capsys, cases):
     assert "--cases: must be a positive integer" in captured.err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
 def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
     # deviation > nan is never true: --tol nan used to turn verification off
     source = tmp_path / "two_path.json"
@@ -504,7 +504,15 @@ def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol)
     (["--block=1", "--rho=2=1,1=0"], 1, "only outside variables of the formula; got [1]"),
     (["--block=1", "--rho=2=1,9=1"], 1, "only outside variables of the formula; got [9]"),
     (["--block="], 64, "--block: must name at least one variable"),
-], ids=["repeated-variable", "block-variable", "unknown-variable", "empty-block"])
+    (["--block=9", "--rho=1=0,2=1"], 1, "block names variables the formula does not use: [9]"),
+    (["--block=0,1", "--rho=2=1"], 1, "block names variables the formula does not use: [0]"),
+    (["--block=x"], 64, "--block: variables must be integers, got 'x'"),
+    (["--block=1", "--rho=2"], 64, "--rho: each item must be VAR=BIT, got '2'"),
+    (["--block=1", "--rho=2=x"], 64, "--rho: each item must be VAR=BIT, got '2=x'"),
+    (["--block=1", "--rho=2=1=0"], 64, "--rho: each item must be VAR=BIT, got '2=1=0'"),
+], ids=["repeated-variable", "block-variable", "unknown-variable", "empty-block",
+        "unused-block-variable", "block-variable-zero", "non-integer-block", "rho-without-bit",
+        "non-integer-bit", "rho-with-two-bits"])
 def test_squeeze_rejects_a_malformed_block_or_restriction(tmp_path, capsys, options, code, message):
     source = tmp_path / "two_path.json"
     write_circuit(two_path_example(), source)
@@ -652,6 +660,9 @@ def string_options(draw):
 @example(["squeeze", "--block=1", "--rho=2=1,1=0"])
 @example(["squeeze", "--block=1", "--rho=2=1,9=1", "--json"])
 @example(["squeeze", "--block="])
+@example(["squeeze", "--block=9", "--rho=1=0,2=1"])
+@example(["squeeze", "--block=x"])
+@example(["squeeze", "--block=1", "--rho=2"])
 @example(["simulate", "--assignment=01x", "--json"])
 def test_string_options_exit_with_a_documented_code_and_no_traceback(tmp_path_factory, options):
     source = tmp_path_factory.getbasetemp() / "string_options.json"
@@ -666,6 +677,7 @@ def test_string_options_exit_with_a_documented_code_and_no_traceback(tmp_path_fa
             code = exc.code
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()
+    assert "_parse_" not in err.getvalue()  # a message names the problem, not a parser
     if code:
         assert out.getvalue() == ""
     elif "--json" in argv:

@@ -169,6 +169,41 @@ def test_non_numeric_matrix_entry_is_a_format_error(tmp_path):
         read_circuit(path)
 
 
+def _one_gate_file(entries):
+    return ('{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0, "gates": '
+            '[{"step": 1, "targets": [0], "matrix": ' + entries + "}]}")
+
+
+@pytest.mark.parametrize("entries", [
+    "[[0, 1], [-0.0, 0.0], [1e308, -1e308], [5e-324, -2.2250738585072014e-308]]",
+    f"[[{2 ** 53 + 1}, {2 ** 63 + 1}], [{2 ** 64 + 1}, {-10 ** 300}], [0.1, -0], [1, 0.0]]",
+], ids=["floats", "integers"])
+def test_matrix_decoding_is_bit_identical_to_complex_per_entry(tmp_path, entries):
+    path = tmp_path / "entries.json"
+    path.write_text(_one_gate_file(entries))
+    expected = np.array([complex(re, im) for re, im in json.loads(entries)]).reshape(2, 2)
+    assert read_circuit(path).gates[0].matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("[true, 0]", "matrix entry 2 must be an [re, im] pair of numbers"),
+    ('[1, "0"]', "matrix entry 2 must be an [re, im] pair of numbers"),
+    ("[1, 0, 0]", "matrix entry 2 must be an [re, im] pair of numbers"),
+    ("[1]", "matrix entry 2 must be an [re, im] pair of numbers"),
+    ('{"re": 1, "im": 0}', "matrix entry 2 must be an [re, im] pair of numbers"),
+    ("[[1], 0]", "matrix entry 2 must be an [re, im] pair of numbers"),
+    ("null", "matrix entry 2 must be an [re, im] pair of numbers"),
+    (f"[{10 ** 309}, 0]", "matrix entry 2 is too large for a float"),
+], ids=["bool", "string", "three-parts", "one-part", "object", "nested", "null", "huge-int"])
+def test_bad_matrix_entry_is_named_first(tmp_path, bad, message):
+    # a later bad entry is not the one named
+    path = tmp_path / "bad.json"
+    path.write_text(_one_gate_file(f'[[0, 0], [1, 0], {bad}, [false, "x"]]'))
+    with pytest.raises(FormatError) as err:
+        read_circuit(path)
+    assert str(err.value) == f"{path}: gates[0]: {message}"
+
+
 def _assert_written_as_json_dumps(circuit, path):
     """The writer's bytes are ``json.dumps(circuit_to_json(c)) + "\\n"``."""
     write_circuit(circuit, path)

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import qformula.circuit as circuit_module
 
 from qformula import (
     CompanionSet,
@@ -24,9 +29,11 @@ from qformula import (
     squeeze_path,
     to_unitary,
     variable,
+    write_circuit,
 )
 from qformula.analysis import Hop
 from qformula.circuit import Circuit, Gate
+from qformula.cli import main
 from qformula.gates import CNOT, X, random_unitary
 from qformula.rewrite import VerificationError
 from qformula.samples import (
@@ -76,6 +83,47 @@ def test_restrict_requires_total_assignment():
     c = toffoli_and_circuit()
     with pytest.raises(ValueError, match="missing"):
         restrict(c, {1}, {})
+
+
+def test_restrict_rejects_a_block_variable_the_formula_does_not_use():
+    c = two_path_example()  # variables 1 and 2
+    with pytest.raises(ValueError, match=r"does not use: \[9\]"):
+        restrict(c, {9}, {1: 0, 2: 1})
+    with pytest.raises(ValueError, match=r"does not use: \[0\]"):
+        restrict(c, {0, 1}, {2: 1})
+
+
+def test_restrict_keeps_the_gate_objects():
+    c = two_path_example().check()
+    fixed = restrict(c, {1}, {2: 0})
+    assert all(a is b for a, b in zip(fixed.gates, c.gates))
+
+
+def test_squeeze_job_computes_each_unitarity_product_once(monkeypatch, tmp_path, corpus):
+    """One stacked product per matrix dimension for the input, one per
+    composite gate, none for the restricted or the squeezed circuit."""
+    stacks = []
+    real = circuit_module.unitary_deviations
+    monkeypatch.setattr(circuit_module, "unitary_deviations", lambda s: stacks.append(s.shape) or real(s))
+    composites = 0
+    for member in corpus[:12]:
+        source = tmp_path / "in.json"
+        write_circuit(member.formula, source)
+        argv = ["squeeze", "--json", "-c", str(source), "-o", str(tmp_path / "out.json"),
+                "--block", ",".join(map(str, sorted(member.block)))]
+        if member.rho:
+            argv += ["--rho", ",".join(f"{v}={b}" for v, b in member.rho)]
+        stacks.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        shapes = {}
+        for g in member.formula.gates:
+            shapes[g.matrix.shape] = shapes.get(g.matrix.shape, 0) + 1
+        count = json.loads(out.getvalue())["composite_gates"]
+        assert stacks == [(k, *shape) for shape, k in shapes.items()] + [(1, 64, 64)] * count
+        composites += count
+    assert composites >= 12
 
 
 def test_restrict_rejects_non_formulas():
