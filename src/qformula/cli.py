@@ -109,7 +109,9 @@ def _parse_rho(text: str) -> dict[int, int]:
         try:
             var, bit = (int(part) for part in item.split("="))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"each item must be VAR=BIT, got {item!r}") from None
+            bit = None
+        if bit not in (0, 1):
+            raise argparse.ArgumentTypeError(f"each item must be VAR=BIT, got {item!r}")
         if var in rho:
             raise argparse.ArgumentTypeError(f"variable {var} is assigned twice")
         rho[var] = bit
@@ -157,6 +159,10 @@ def _cmd_analyze(args) -> int:
     if formula and circuit.num_variables:
         if args.partition:
             blocks = fileio.read_partition(args.partition)
+            unused = set().union(*blocks) - set(circuit.variable_indices)
+            if unused:
+                raise ValueError(
+                    f"partition names variables the circuit does not use: {sorted(unused)}")
         else:
             blocks = [frozenset([j]) for j in circuit.variable_indices]
         block_reports = []

@@ -47,6 +47,7 @@ MAX_ENUM_VARIABLES = 3
 MAX_ENUM_GATES = 3
 MAX_ENUM_NET = 8
 MAX_ENUM_QUBITS = 6
+GRID_AXIS = np.linspace(-2.0, 2.0, 41)
 
 
 def _linear(log2: float) -> float | None:
@@ -208,21 +209,14 @@ def evaluate_poly(poly: Polynomial, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def grid_sign_patterns(
-    polys: Sequence[Polynomial],
-    t: int,
-    *,
-    low: float = -2.0,
-    high: float = 2.0,
-    points_per_axis: int = 41,
-) -> set[tuple[int, ...]]:
-    """Strict sign vectors realized on a lattice.
+def grid_sign_patterns(polys: Sequence[Polynomial], t: int) -> set[tuple[int, ...]]:
+    """Strict sign vectors realized on the lattice ``GRID_AXIS``^t.
 
     Grid points where any polynomial vanishes are skipped, so the count
     never exceeds the number of consistent strict sign-assignments:
     this is a lower-bound witness only.
     """
-    axes = [np.linspace(low, high, points_per_axis)] * t
+    axes = [GRID_AXIS] * t
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, t)
     values = np.stack([evaluate_poly(p, mesh) for p in polys], axis=1)
     signs = np.sign(values).astype(int)

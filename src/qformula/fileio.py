@@ -130,7 +130,6 @@ def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
                 return pairs.view(complex).reshape(dim, dim)
     except (TypeError, ValueError, OverflowError):
         pass  # the loop names the first bad entry
-    values = []
     for i, pair in enumerate(entries):
         _require(
             isinstance(pair, list) and len(pair) == 2
@@ -138,10 +137,10 @@ def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
             f"{where}: matrix entry {i} must be an [re, im] pair of numbers",
         )
         try:
-            values.append(complex(pair[0], pair[1]))
+            complex(pair[0], pair[1])
         except OverflowError:
             raise FormatError(f"{where}: matrix entry {i} is too large for a float") from None
-    return np.array(values, dtype=complex).reshape(dim, dim)
+    raise FormatError(f"{where}: matrix entries must be [re, im] pairs of numbers")
 
 
 def circuit_to_json(circuit: Circuit) -> dict:

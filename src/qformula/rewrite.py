@@ -35,7 +35,6 @@ import numpy as np
 from .analysis import (
     CompanionSet,
     PathSegment,
-    PathSet,
     StructuralError,
     companion_set_of_path,
     computation_graph,
@@ -159,7 +158,6 @@ class SqueezeRecord:
 
     segment: PathSegment
     companions: CompanionSet
-    companion_order: tuple[int, ...]
     vectors: np.ndarray
     basis: np.ndarray
     coefficients: np.ndarray
@@ -170,7 +168,7 @@ class SqueezeRecord:
 
     @property
     def num_companions(self) -> int:
-        return len(self.companion_order)
+        return self.companions.size
 
 
 def postpone(
@@ -236,26 +234,20 @@ def postpone(
     return preps, postponed
 
 
-def squeeze_path(
-    circuit: Circuit,
-    pathset: PathSet,
-    segment: PathSegment,
-    companions_info: CompanionSet | None = None,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SqueezeRecord:
+def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSet) -> SqueezeRecord:
     """Simulate a segment's action and factor it over an orthonormal
-    basis of the companion register.
+    basis of the companion register, ``companions`` being the segment's
+    ``companion_set_of_path``.
 
     Runs the companion preparation plus the segment's inner gates from
     the four basis inputs on the two head lines as one batch (companion
     lines start at their constant labels), splits the results on the head
-    lines, and factors the 16 companion vectors by one SVD (the rank counts
-    singular values above ``rank_tol`` times the largest).  The expansion
-    is verified to reconstruct the vectors within 1e-10 and to be an
-    isometry on the four inputs.
+    lines, and factors the 16 companion vectors by one SVD (the rank
+    counts singular values above ``DEFAULT_RANK_TOL`` times the largest).
+    The expansion is verified to reconstruct the vectors within 1e-10 and
+    to be an isometry on the four inputs.
     """
-    cs = companions_info or companion_set_of_path(circuit, pathset, segment)
+    cs = companions
     if not segment.squeezable:
         raise StructuralError("segment has no gates strictly inside; nothing to squeeze")
     for c in cs.qubits:
@@ -283,7 +275,7 @@ def squeeze_path(
     flat = vectors.reshape(16, 2 ** v)
     # one SVD gives the rank, the basis, the coefficients and the margin
     left, sing, right = np.linalg.svd(flat, full_matrices=False)
-    threshold = rank_tol * sing[0]
+    threshold = DEFAULT_RANK_TOL * sing[0]
     rank = int(np.count_nonzero(sing > threshold))  # rank 0 fails a check below
     # each basis vector's largest entry (the first on ties) is real and positive
     peaks = right[np.arange(rank), np.argmax(np.abs(right[:rank]), axis=1)]
@@ -304,7 +296,6 @@ def squeeze_path(
     return SqueezeRecord(
         segment=segment,
         companions=cs,
-        companion_order=order,
         vectors=vectors,
         basis=basis,
         coefficients=coeffs,
@@ -372,7 +363,6 @@ def squeeze_all(
     f_rho: Circuit,
     block=None,
     *,
-    rank_tol: float = DEFAULT_RANK_TOL,
     verify: bool = True,
     tol: float = SQUEEZE_TOL,
 ) -> SqueezedCircuit:
@@ -408,7 +398,7 @@ def squeeze_all(
         if cs is None or cs.size == 0:
             skipped.append(segment)
         else:
-            records.append(squeeze_path(f_rho, pathset, segment, cs, rank_tol=rank_tol))
+            records.append(squeeze_path(f_rho, segment, cs))
 
     used: set[int] = set()
     deleted_steps: set[int] = set(pruned)

@@ -44,7 +44,7 @@ Three paths push the assignments through in batches of at most
   U rho, then conj(U) times that, the trace being the sum over their
   shared inner axis.  A k-qubit gate's message has at most 4^k entries.
 
-Both state vectors are capped at ``max_qubits`` lines: the step-order
+Both state vectors are capped at ``MAX_QUBITS`` lines: the step-order
 one counts all of the circuit's lines, the pruned one its cone's.
 ``capped_matmul`` hands BLAS no product of more than ``BLAS_SLICE_MACS``
 multiply-adds in one call when BLAS may run on more than one thread.
@@ -71,7 +71,10 @@ from .analysis import NotAFormulaError, computation_graph, is_formula
 from .circuit import Circuit, Gate, variable
 from .gates import capped_matmul
 
-DEFAULT_MAX_QUBITS = 20
+# lines either state vector may hold: 2^20 complex amplitudes are 16 MB
+MAX_QUBITS = 20
+# lines of to_unitary's operator: 2^12 x 2^12 complex entries are 256 MB
+UNITARY_MAX_QUBITS = 12
 NORM_TOL = 1e-10
 # p this close to 1/3 or 2/3 is re-decided by the state vector
 BOUNDARY_TOL = 1e-12
@@ -150,10 +153,10 @@ def _check_drift(values: np.ndarray, lo: int, n: int, what: str) -> None:
         raise SimulationError(f"{what} drifted to {values[bad[0]]} at assignment {alpha}")
 
 
-def _require_cap(circuit: Circuit, max_qubits: int) -> None:
-    if circuit.num_qubits > max_qubits:
+def _require_cap(circuit: Circuit) -> None:
+    if circuit.num_qubits > MAX_QUBITS:
         raise SimulationError(
-            f"{circuit.num_qubits} qubits exceeds the simulation cap {max_qubits}"
+            f"{circuit.num_qubits} qubits exceeds the simulation cap {MAX_QUBITS}"
         )
 
 
@@ -182,11 +185,10 @@ def initial_state(circuit: Circuit, assignment) -> np.ndarray:
     return state
 
 
-def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> np.ndarray:
-    """Apply one gate, acting as the identity on all non-target qubits."""
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate to a 2^m-amplitude state, as the identity off its targets."""
     state = np.asarray(state, dtype=complex)
-    if num_qubits is None:
-        num_qubits = int(state.size).bit_length() - 1
+    num_qubits = int(state.size).bit_length() - 1
     if state.size != 2 ** num_qubits:
         raise SimulationError(f"state size {state.size} is not 2^{num_qubits}")
     k = gate.arity
@@ -214,16 +216,14 @@ def output_probability(state: np.ndarray, output_qubit: int, num_qubits: int) ->
     return Outcome(p1=n1, norm0_sq=n0, norm1_sq=n1)
 
 
-def run(
-    circuit: Circuit, assignment, *, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> tuple[np.ndarray, Outcome]:
+def run(circuit: Circuit, assignment) -> tuple[np.ndarray, Outcome]:
     """Execute the circuit on one assignment; returns (state, outcome).
 
     Gates are applied in step order.  The final norm is required to be
     1 within 1e-10; a drift beyond that indicates a non-unitary gate
     slipped past validation.
     """
-    _require_cap(circuit, max_qubits)
+    _require_cap(circuit)
     circuit.check()
     m = circuit.num_qubits
     buffer = initial_state(circuit, assignment)
@@ -275,13 +275,13 @@ def _scan(circuit: Circuit, lo: int, hi: int) -> np.ndarray:
     return p
 
 
-def probability_vector(circuit: Circuit, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def probability_vector(circuit: Circuit) -> np.ndarray:
     """p1 for every assignment, indexed with x1 as the most significant bit.
 
     The state vector applies every gate in step order, on batches of
     assignments, and checks every final state's norm.
     """
-    _require_cap(circuit, max_qubits)
+    _require_cap(circuit)
     circuit.check()
     return _scan(circuit, 0, 2 ** circuit.num_variables)
 
@@ -431,15 +431,13 @@ def _run_block(tensor: np.ndarray, block: _Run, home: np.ndarray, spare: np.ndar
     return capped_matmul(block.matrix, view, out).reshape(tensor.shape)
 
 
-def _probabilities(
-    circuit: Circuit, gates, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
+def _probabilities(circuit: Circuit, gates) -> np.ndarray:
     """p1 of every assignment after ``gates``, a schedule of the output
     line's light cone, on the cone's lines only, which join the state at
     their first block; p is broadcast in scan order over the variables
     off the cone.  The cap applies to the cone's lines."""
     cone, scanned = _cone(circuit, gates)
-    _require_cap(cone, max_qubits)
+    _require_cap(cone)
     m, out = cone.num_qubits, cone.output_qubit
     lines = dict.fromkeys([q for g in cone.gates for q in g.targets] + [out])
     joins = [v for v in dict.fromkeys(cone.labels[q].var for q in lines) if v is not None]
@@ -639,19 +637,17 @@ def verdict(p, table_bits) -> FunctionVerdict:
     return FunctionVerdict(status, _alpha(idx, p.size.bit_length() - 1), float(p[idx]))
 
 
-def evaluate(
-    circuit: Circuit, table_bits, *, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> FunctionVerdict:
+def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
     """Compare the circuit against a truth table over its variables.
 
     The table is indexed with x1 as the most significant bit; the first
     failing assignment in that order is reported.  Formulas go through
     ``contract_formula``, which has no line cap; other circuits through
-    the pruned, fused state vector, capped at ``max_qubits`` cone lines.  An
+    the pruned, fused state vector, capped at ``MAX_QUBITS`` cone lines.  An
     assignment whose p lands within 1e-12 of a threshold is re-decided
     by the step-order state vector on the cone circuit (the graph's
     gates, unfused, on the cone's lines) when the cone fits under
-    ``max_qubits``, so the verdict is the oracle's.
+    ``MAX_QUBITS``, so the verdict is the oracle's.
     """
     circuit.check()
     n = circuit.num_variables
@@ -663,12 +659,12 @@ def evaluate(
     if is_formula(circuit):
         p = contract_formula(circuit)
     else:
-        p = _probabilities(circuit, _fused_schedule(circuit), max_qubits)
+        p = _probabilities(circuit, _fused_schedule(circuit))
     near = np.flatnonzero(_near(p))
     if near.size:
         graph = computation_graph(circuit)
         cone, scanned = _cone(circuit, [circuit.gates[s - 1] for s in graph.gate_steps])
-        for idx in near if cone.num_qubits <= max_qubits else ():
+        for idx in near if cone.num_qubits <= MAX_QUBITS else ():
             # the cone's scan index: its x_i is the circuit's x_scanned[i-1]
             local = sum((int(idx) >> (n - j) & 1) << i for i, j in enumerate(scanned[::-1]))
             p[idx] = _scan(cone, local, local + 1)[0]
@@ -685,11 +681,11 @@ def _operator(gates, m: int) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-def to_unitary(circuit: Circuit, *, max_qubits: int = 12) -> np.ndarray:
+def to_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2^m x 2^m operator of the circuit, gates in step order."""
     m = circuit.num_qubits
-    if m > max_qubits:
-        raise SimulationError(f"to_unitary capped at {max_qubits} qubits, got {m}")
+    if m > UNITARY_MAX_QUBITS:
+        raise SimulationError(f"to_unitary capped at {UNITARY_MAX_QUBITS} qubits, got {m}")
     return _operator(circuit.gates, m)
 
 

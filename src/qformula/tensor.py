@@ -50,15 +50,13 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
-def orthonormalize(
-    vectors: Sequence[np.ndarray], tol: float = DEFAULT_RANK_TOL
-) -> tuple[list[np.ndarray], int]:
+def orthonormalize(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     """Orthonormal basis of span(vectors) by modified Gram-Schmidt.
 
-    Residuals below ``tol`` times the spectral norm of the stacked input
-    are treated as zero, so the returned dimension is the numerical rank
-    at that threshold.  An all-zero input yields an empty basis.  The
-    tests cross-check it against the squeezing rewrite's SVD rank.
+    Residuals below ``DEFAULT_RANK_TOL`` times the stacked input's
+    spectral norm are treated as zero, so the returned dimension is the
+    numerical rank at that threshold.  An all-zero input yields an empty
+    basis.  The tests cross-check it against the squeezing rewrite's SVD rank.
     """
     if len(vectors) == 0:
         raise ValueError("orthonormalize requires a nonempty vector list")
@@ -69,7 +67,7 @@ def orthonormalize(
     scale = float(np.linalg.svd(stacked, compute_uv=False)[0])  # the spectral norm
     if scale == 0.0:
         return [], 0
-    threshold = tol * scale
+    threshold = DEFAULT_RANK_TOL * scale
     basis: list[np.ndarray] = []
     for w in stacked:  # each row is reduced in place
         for b in basis:

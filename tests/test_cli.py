@@ -73,6 +73,21 @@ def test_analyze_reads_a_partition_file(tmp_path, capsys):
         ([1, 2], 2, 2), ([1], 1, 1), ([2], 1, 1)]
 
 
+@pytest.mark.parametrize("partition, unused", [("9\n", "[9]"), ("1 2\n0 2 -1\n", "[-1, 0]")],
+                         ids=["variable-nine", "zero-and-negative"])
+def test_analyze_rejects_a_partition_variable_the_circuit_does_not_use(
+    tmp_path, capsys, partition, unused
+):
+    # such a block used to be reported with s_j = 0
+    circuit_path, partition_path = tmp_path / "two_path.json", tmp_path / "bad.part"
+    write_circuit(two_path_example(), circuit_path)
+    partition_path.write_text(partition)
+    code, out, err = run_cli(capsys, "analyze", "--json", "-c", str(circuit_path),
+                             "-p", str(partition_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: partition names variables the circuit does not use: {unused}\n"
+
+
 def test_verify_lemmas_passes_and_is_deterministic(capsys):
     code, first, _ = run_cli(capsys, "verify-lemmas", "--seed", "7", "--cases", "60")
     assert code == 0
@@ -510,9 +525,11 @@ def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol)
     (["--block=1", "--rho=2"], 64, "--rho: each item must be VAR=BIT, got '2'"),
     (["--block=1", "--rho=2=x"], 64, "--rho: each item must be VAR=BIT, got '2=x'"),
     (["--block=1", "--rho=2=1=0"], 64, "--rho: each item must be VAR=BIT, got '2=1=0'"),
+    (["--block=1", "--rho=2=2"], 64, "--rho: each item must be VAR=BIT, got '2=2'"),
+    (["--block=1", "--rho=2=-1"], 64, "--rho: each item must be VAR=BIT, got '2=-1'"),
 ], ids=["repeated-variable", "block-variable", "unknown-variable", "empty-block",
         "unused-block-variable", "block-variable-zero", "non-integer-block", "rho-without-bit",
-        "non-integer-bit", "rho-with-two-bits"])
+        "non-integer-bit", "rho-with-two-bits", "bit-two", "bit-minus-one"])
 def test_squeeze_rejects_a_malformed_block_or_restriction(tmp_path, capsys, options, code, message):
     source = tmp_path / "two_path.json"
     write_circuit(two_path_example(), source)
@@ -663,6 +680,7 @@ def string_options(draw):
 @example(["squeeze", "--block=9", "--rho=1=0,2=1"])
 @example(["squeeze", "--block=x"])
 @example(["squeeze", "--block=1", "--rho=2"])
+@example(["squeeze", "--block=1", "--rho=2=2"])
 @example(["simulate", "--assignment=01x", "--json"])
 def test_string_options_exit_with_a_documented_code_and_no_traceback(tmp_path_factory, options):
     source = tmp_path_factory.getbasetemp() / "string_options.json"

@@ -624,12 +624,14 @@ def test_non_formula_keeps_the_line_cap_on_its_cone():
         evaluate(c, [0, 1])
 
 
-def test_non_formula_past_the_line_cap_with_a_small_cone_evaluates():
+def test_non_formula_past_the_line_cap_with_a_small_cone_evaluates(monkeypatch):
     # lines 3..20 are idle: the cone holds lines 0-2 only
     c = build_circuit(21, [variable(1)] + [constant(0)] * 20,
                       [((0, 1), CNOT), ((0, 2), CNOT), ((1, 2), SWAP)], output_qubit=2)
     assert not is_formula(c)
-    expected = probability_vector(c, max_qubits=21)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "MAX_QUBITS", 21)
+        expected = probability_vector(c)
     assert list(expected) == [0.0, 1.0]
     assert np.max(np.abs(fused_probabilities(c) - expected)) <= TOL
     assert evaluate(c, [0, 1]).computes
@@ -736,6 +738,31 @@ def test_boundary_redecision_runs_on_the_cone_whatever_the_width(redecided):
     assert got.status == "undetermined" == scan_verdict(narrow, [0, 1])[0]
 
 
+def test_every_line_cap_reads_max_qubits(monkeypatch, redecided):
+    # p within 1e-12 of 1/3 on a non-formula of 4 lines whose cone holds 3,
+    # and on a 1-line formula, which the contraction takes past any cap
+    general, formula = swap_nonformula(1 / 3 + 5e-13, 4), rotation_formula(1 / 3 + 5e-13)
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 4)
+    run(general, [0])
+    probability_vector(general)
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 3)
+    for state_vector in (lambda: run(general, [0]), lambda: probability_vector(general)):
+        with pytest.raises(SimulationError, match="4 qubits exceeds the simulation cap 3"):
+            state_vector()
+    redecided.clear()
+    assert evaluate(general, [0, 1]).status == "undetermined"
+    assert redecided == [(0,), (1,)]
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 2)
+    with pytest.raises(SimulationError, match="3 qubits exceeds the simulation cap 2"):
+        evaluate(general, [0, 1])  # the pruned path's cap counts the cone's lines
+    redecided.clear()
+    assert evaluate(formula, [0, 1]).status == "undetermined"
+    assert redecided == [(0,), (1,)]
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 0)  # no cone fits: no re-decision
+    assert evaluate(formula, [0, 1]).status == "undetermined"
+    assert redecided == [(0,), (1,)]
+
+
 def off_cone_nonformula(p0):
     """``rotation_nonformula`` on lines 0-2 after a first gate on lines 3
     and 4, which carry x2 and a constant and lie outside the light cone."""
@@ -777,7 +804,7 @@ def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true
     real = fused_probabilities(c)
     # a fused path that lands on the other side of 1/3 than run does
     monkeypatch.setattr(simulator, "_probabilities",
-                        lambda circuit, gates, max_qubits: real - 2 * true_offset)
+                        lambda circuit, gates: real - 2 * true_offset)
     got = evaluate(c, [0, 1])
     assert (got.status, got.alpha) == scan_verdict(c, [0, 1])[:2]
 

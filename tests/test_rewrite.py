@@ -13,6 +13,7 @@ from qformula import (
     NotAFormulaError,
     PathSegment,
     StructuralError,
+    companion_set_of_path,
     is_formula,
     build_circuit,
     orthonormalize,
@@ -135,9 +136,9 @@ def test_restrict_rejects_non_formulas():
 # disjoint decomposition
 
 
-def _run_gates(state, gates, width):
+def _run_gates(state, gates):
     for g in gates:
-        state = apply_gate(state, g, width)
+        state = apply_gate(state, g)
     return state
 
 
@@ -155,9 +156,9 @@ def test_decompose_alternating_blocks():
     assert [g.targets for g in c2] == [(3, 4), (4, 5)]
     state = rng.normal(size=64) + 1j * rng.normal(size=64)
     state /= np.linalg.norm(state)  # entangled across the cut
-    reference = _run_gates(state, gates, 6)
-    assert np.max(np.abs(reference - _run_gates(_run_gates(state, c1, 6), c2, 6))) <= 1e-10
-    assert np.max(np.abs(reference - _run_gates(_run_gates(state, c2, 6), c1, 6))) <= 1e-10
+    reference = _run_gates(state, gates)
+    assert np.max(np.abs(reference - _run_gates(_run_gates(state, c1), c2))) <= 1e-10
+    assert np.max(np.abs(reference - _run_gates(_run_gates(state, c2), c1))) <= 1e-10
 
 
 def test_decompose_with_one_empty_side():
@@ -335,7 +336,7 @@ def test_squeeze_identity_interior_gives_rank_one():
     c = _identity_interior_circuit()
     ps = path_sets(c, {1})
     (segment,) = path_segments(c, ps)
-    record = squeeze_path(c, ps, segment)
+    record = squeeze_path(c, segment, companion_set_of_path(c, ps, segment))
     assert record.rank == 1
     assert np.allclose(record.basis[0], np.eye(4)[0])  # |00>
     lam = record.coefficients[..., 0]
@@ -355,7 +356,7 @@ def test_squeeze_single_cnot_interior_reconstructs_exactly():
     )
     ps = path_sets(c, {1})
     (segment,) = path_segments(c, ps)
-    record = squeeze_path(c, ps, segment)
+    record = squeeze_path(c, segment, companion_set_of_path(c, ps, segment))
     rebuilt = np.tensordot(record.coefficients, record.basis, axes=([4], [0]))
     assert np.max(np.abs(rebuilt - record.vectors)) <= 1e-12
 
@@ -375,7 +376,7 @@ def test_squeeze_rank_bounds_with_three_companions():
     )
     ps = path_sets(c, {1})
     (segment,) = path_segments(c, ps)
-    record = squeeze_path(c, ps, segment)
+    record = squeeze_path(c, segment, companion_set_of_path(c, ps, segment))
     assert record.num_companions == 3
     assert 1 <= record.rank <= 16
     weights = np.sum(np.abs(record.coefficients) ** 2, axis=(2, 3, 4))
@@ -396,7 +397,7 @@ def test_squeeze_classifies_junk_gates_as_postponed():
     )
     ps = path_sets(c, {1})
     (segment,) = path_segments(c, ps)
-    record = squeeze_path(c, ps, segment)
+    record = squeeze_path(c, segment, companion_set_of_path(c, ps, segment))
     assert record.postponed_steps == (3,)
     assert record.companions.qubits == frozenset({2, 3})
 
@@ -409,7 +410,7 @@ def _identity_record():
     c = _identity_interior_circuit()
     ps = path_sets(c, {1})
     (segment,) = path_segments(c, ps)
-    return squeeze_path(c, ps, segment)
+    return squeeze_path(c, segment, companion_set_of_path(c, ps, segment))
 
 
 def test_composite_identity_record_fixes_specified_columns():
@@ -428,7 +429,7 @@ def test_composite_completion_is_unitary():
     f_rho = restrict(member.formula, member.block, member.restriction)
     ps = path_sets(f_rho, set(f_rho.variable_indices))
     segment = next(s for s in path_segments(f_rho, ps) if s.squeezable)
-    record = squeeze_path(f_rho, ps, segment)
+    record = squeeze_path(f_rho, segment, companion_set_of_path(f_rho, ps, segment))
     gate = build_composite_gate(record)
     deviation = np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(64)))
     assert deviation <= 1e-10
@@ -485,7 +486,7 @@ def test_squeeze_path_rank_basis_and_margin_match_orthonormalize(corpus):
         f_rho = restrict(member.formula, member.block, member.restriction)
         for record in squeeze_all(f_rho, verify=False).records:
             flat = record.vectors.reshape(16, -1)
-            basis, rank = orthonormalize(list(flat), tol=1e-9)
+            basis, rank = orthonormalize(list(flat))
             assert rank == record.rank == len(record.basis)
             gram_schmidt = np.array(basis)
             projector = gram_schmidt.T @ gram_schmidt.conj()
@@ -513,11 +514,12 @@ def test_companion_states_of_rank_zero_fail_the_isometry_check(monkeypatch):
         squeeze_all(two_path_example(), verify=False)
 
 
-def test_borderline_rank_flags_a_singular_value_near_the_threshold():
+def test_borderline_rank_flags_a_singular_value_near_the_threshold(monkeypatch):
     # two_path_example's segments have smallest kept singular values 0.163
     # and 0.397 against largest 1.42 and 1.57: within 10x of 5% of the largest
     assert not any(r.borderline_rank for r in squeeze_all(two_path_example()).records)
-    records = squeeze_all(two_path_example(), rank_tol=0.05, verify=False).records
+    monkeypatch.setattr("qformula.rewrite.DEFAULT_RANK_TOL", 0.05)
+    records = squeeze_all(two_path_example(), verify=False).records
     assert [(r.rank, r.borderline_rank) for r in records] == [(4, True), (4, True)]
 
 
@@ -677,7 +679,7 @@ def test_spectator_junk_chain_is_postponed_and_sound():
     )
     ps = path_sets(c, {1})
     (segment,) = path_segments(c, ps)
-    record = squeeze_path(c, ps, segment)
+    record = squeeze_path(c, segment, companion_set_of_path(c, ps, segment))
     assert record.postponed_steps == (3, 4)
     assert record.companions.qubits == frozenset({2, 3, 4})
     squeezed = squeeze_all(c)  # verification at 1e-9 runs inside

@@ -18,12 +18,12 @@ from qformula.simulator import SimulationError, embed_gate, initial_state
 
 
 def test_hadamard_on_zero():
-    state = apply_gate(np.array([1, 0], dtype=complex), Gate(1, (0,), H), 1)
+    state = apply_gate(np.array([1, 0], dtype=complex), Gate(1, (0,), H))
     assert np.allclose(state, np.array([1, 1]) / np.sqrt(2))
 
 
 def test_x_on_second_qubit_of_00():
-    state = apply_gate(np.array([1, 0, 0, 0], dtype=complex), Gate(1, (1,), X), 2)
+    state = apply_gate(np.array([1, 0, 0, 0], dtype=complex), Gate(1, (1,), X))
     expected = np.zeros(4)
     expected[0b01] = 1  # qubit 0 is the most significant bit
     assert np.allclose(state, expected)
@@ -37,7 +37,7 @@ def test_apply_gate_matches_embedded_matrix_oracle():
         gate = Gate(1, targets, u)
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
         state /= np.linalg.norm(state)
-        direct = apply_gate(state, gate, 3)
+        direct = apply_gate(state, gate)
         oracle = embed_gate(gate, 3) @ state
         assert np.max(np.abs(direct - oracle)) <= 1e-12
 
@@ -155,7 +155,23 @@ def test_determinism_bit_identical():
     assert np.array_equal(a, b)
 
 
-def test_qubit_cap_enforced():
+def test_qubit_cap_enforced(monkeypatch):
     c = build_circuit(3, [variable(1), constant(0), constant(0)], [], output_qubit=0)
+    monkeypatch.setattr("qformula.simulator.MAX_QUBITS", 2)
     with pytest.raises(SimulationError, match="cap"):
-        run(c, [0], max_qubits=2)
+        run(c, [0])
+
+
+def test_to_unitary_reads_its_cap(monkeypatch):
+    c = build_circuit(3, [variable(1), constant(0), constant(0)], [], output_qubit=0)
+    assert np.array_equal(to_unitary(c), np.eye(8))
+    monkeypatch.setattr("qformula.simulator.UNITARY_MAX_QUBITS", 2)
+    with pytest.raises(SimulationError, match="to_unitary capped at 2 qubits, got 3"):
+        to_unitary(c)
+
+
+def test_apply_gate_takes_its_line_count_from_the_state():
+    with pytest.raises(SimulationError, match=r"state size 3 is not 2\^1"):
+        apply_gate(np.ones(3), Gate(1, (0,), X))
+    with pytest.raises(SimulationError, match=r"gate targets \(2,\) exceed 2 qubits"):
+        apply_gate(np.ones(4), Gate(1, (2,), X))

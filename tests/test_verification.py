@@ -66,9 +66,9 @@ def reference_product_family(cases, seed):
     return worst
 
 
-def _apply_gates(state, gates, width):
+def _apply_gates(state, gates):
     for gate in gates:
-        state = apply_gate(state, gate, width)
+        state = apply_gate(state, gate)
     return state
 
 
@@ -93,9 +93,9 @@ def reference_disjoint_split(cases, seed):
         basis = np.zeros(2 ** width, dtype=complex)
         basis[int(rng.integers(0, 2 ** width))] = 1.0
         for state in (basis, _random_vector(rng, 2 ** width, unit=True)):
-            reference = _apply_gates(state, gates, width)
-            first = _apply_gates(_apply_gates(state, c1, width), c2, width)
-            second = _apply_gates(_apply_gates(state, c2, width), c1, width)
+            reference = _apply_gates(state, gates)
+            first = _apply_gates(_apply_gates(state, c1), c2)
+            second = _apply_gates(_apply_gates(state, c2), c1)
             worst = max(
                 worst,
                 float(np.max(np.abs(reference - first))),
