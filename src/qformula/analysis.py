@@ -28,10 +28,10 @@ two head inputs; those are the lines the rewrite replaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable
 
-from .circuit import Circuit, CircuitError, Gate
+from .circuit import Circuit, CircuitError, Gate, Record
 
 
 class StructuralError(CircuitError):
@@ -95,8 +95,7 @@ def _path_counts(circuit: Circuit, next_on, first_on) -> dict[int, int]:
     }
 
 
-@dataclass(frozen=True)
-class ComputationGraph:
+class ComputationGraph(Record):
     """A checked circuit's wiring, derived once by ``computation_graph``.
 
     The graph proper (``gate_steps``, ``edges``, ``root_step``) is the
@@ -189,21 +188,22 @@ def is_formula(circuit: Circuit) -> bool:
 # paths of a block
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(Record):
     """One gate on a path: entered on in_line, left toward out_line."""
 
     gate: Gate
     in_line: int
     out_line: int
 
+    def __init__(self, gate: Gate, in_line: int, out_line: int):
+        self.__dict__.update(gate=gate, in_line=in_line, out_line=out_line)
+
     @property
     def step(self) -> int:
         return self.gate.step
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """The unique route from one input line to the output."""
 
     wire: int
@@ -214,8 +214,7 @@ class Path:
         return tuple(h.step for h in self.hops)
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(Record):
     """All paths from lines labeled by a block's variables."""
 
     block: frozenset[int]
@@ -289,8 +288,7 @@ def intersection_gates(pathset: PathSet) -> tuple[Gate, ...]:
 # path segments
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(Record):
     """Maximal merge-free stretch of a block path.
 
     The element sequence is: the originating input line (when
@@ -369,8 +367,7 @@ def path_segments(circuit: Circuit, pathset: PathSet) -> tuple[PathSegment, ...]
 # companions
 
 
-@dataclass(frozen=True)
-class CompanionSet:
+class CompanionSet(Record):
     """The constant lines a segment consumes besides its two head inputs.
 
     q0 is the carrier line the segment rides to its terminator, q1 the

@@ -23,7 +23,7 @@ circuit keeps its ``check()`` verdict and its computation graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +38,51 @@ class CircuitError(Exception):
     """Base class for structural circuit errors."""
 
 
+class Record:
+    """Base of the immutable records, which behave as ``@dataclass(frozen=True)``
+    classes: ``dataclasses`` only registers their fields, so ``fields`` and
+    ``replace`` work, but no method is compiled from source text at import
+    (``@dataclass`` does six per class).  Instances keep a ``__dict__``,
+    where checks cache what they derive."""
+
+    def __init_subclass__(cls):
+        declared = fields(dataclass(cls, init=False, repr=False, eq=False))
+        cls._defaults = [f for f in declared if f.default is not MISSING or f.default_factory is not MISSING]
+        cls._compared = [f.name for f in declared if f.compare]
+        cls._hashed = [f.name for f in declared if (f.compare if f.hash is None else f.hash)]
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__  # the fields, in order
+        if len(args) > len(names) or kwargs.keys() - names[len(args):]:
+            raise TypeError(f"{type(self).__qualname__}() got unexpected or repeated arguments")
+        values = self.__dict__
+        for f in self._defaults:
+            values[f.name] = f.default if f.default_factory is MISSING else f.default_factory()
+        values.update(zip(names, args), **kwargs)
+        if len(values) < len(names):
+            raise TypeError(f"{type(self).__qualname__}() missing {set(names) - values.keys()}")
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, n) for n in self._compared] == [getattr(other, n) for n in self._compared]
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, n) for n in self._hashed]))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class InvalidCircuitError(CircuitError):
     """Raised when an operation requires a valid circuit and gets none."""
 
@@ -46,20 +91,20 @@ class InvalidCircuitError(CircuitError):
         self.violations = tuple(violations)
 
 
-@dataclass(frozen=True)
-class InputLabel:
+class InputLabel(Record):
     """Label of one input line: variable x_j (var=j >= 1) or constant 0/1."""
 
     var: int | None = None
     const: int | None = None
 
-    def __post_init__(self):
-        if (self.var is None) == (self.const is None):
+    def __init__(self, var: int | None = None, const: int | None = None):
+        if (var is None) == (const is None):
             raise ValueError("label must set exactly one of var/const")
-        if self.var is not None and self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-        if self.const is not None and self.const not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {self.const}")
+        if var is not None and var < 1:
+            raise ValueError(f"variable index must be >= 1, got {var}")
+        if const is not None and const not in (0, 1):
+            raise ValueError(f"constant must be 0 or 1, got {const}")
+        self.__dict__["var"], self.__dict__["const"] = var, const
 
     @property
     def is_variable(self) -> bool:
@@ -77,8 +122,7 @@ def constant(bit: int) -> InputLabel:
     return InputLabel(const=bit)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Record):
     """One unitary gate: position in the sequence, targets, matrix.
 
     ``targets`` are distinct qubit indices; the matrix has dimension
@@ -90,11 +134,11 @@ class Gate:
     targets: tuple[int, ...]
     matrix: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, step: int, targets: Sequence[int], matrix: np.ndarray):
+        targets = tuple(int(q) for q in targets)
+        matrix = np.array(matrix, dtype=complex)
+        matrix.setflags(write=False)
+        self.__dict__.update(step=step, targets=targets, matrix=matrix)
 
     @property
     def arity(self) -> int:
@@ -136,8 +180,7 @@ def _keep_deviations(gates: Iterable[Gate]) -> None:
             object.__setattr__(g, "_deviation", deviation)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """Gate list over labeled qubit lines with a designated output line."""
 
     num_qubits: int
@@ -189,8 +232,7 @@ class Circuit:
         return self
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Every violated invariant of a circuit; empty means well-formed."""
 
     violations: tuple[str, ...] = field(default_factory=tuple)

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import UNITARY_TOL, Circuit, Gate, constant, variable
+from .circuit import UNITARY_TOL, Circuit, Gate, Record, constant, variable
 from . import simulator
 from .gates import H, I2, X, capped_matmul, unitary_deviation
 from .simulator import _line_values, _near, _operator, decide
@@ -81,8 +80,7 @@ def warren_bound(m: int, t: int, deg: int) -> float | None:
     return _linear(warren_bound_log2(m, t, deg))
 
 
-@dataclass(frozen=True)
-class CountingParams:
+class CountingParams(Record):
     """Sizes entering the appendix bounds.
 
     n: function arity, N: circuit size, d: gate arity, n_prime: input
@@ -109,8 +107,7 @@ class CountingParams:
         return (2 ** (2 * self.d)) * self.N
 
 
-@dataclass(frozen=True)
-class EquivClassBound:
+class EquivClassBound(Record):
     """Wiring-class counts, the binomial form and the cruder power form,
     in log2; each count itself while it is below 2^1023, else None."""
 
@@ -146,8 +143,7 @@ def equiv_class_bound(params: CountingParams) -> EquivClassBound:
     return EquivClassBound(binom, power, log2_binom, log2_power)
 
 
-@dataclass(frozen=True)
-class AppendixBound:
+class AppendixBound(Record):
     """Sign-assignment factor and its product with the class count, in
     bits; the linear values are None past the float range."""
 
@@ -242,8 +238,7 @@ def random_polynomial(rng: np.random.Generator, t: int, deg: int) -> Polynomial:
 # exhaustive enumeration over a finite gate net
 
 
-@dataclass(frozen=True)
-class GateNet:
+class GateNet(Record):
     """Named unitaries standing in for a continuous gate family."""
 
     entries: tuple[tuple[str, np.ndarray], ...]
@@ -273,8 +268,7 @@ class GateNet:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """Functions actually computed by the enumerated circuit family."""
 
     n: int

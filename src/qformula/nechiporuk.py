@@ -22,16 +22,16 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .circuit import Record
+
 ENUMERATION_CAP = 24
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """All 2^n values of a Boolean function, x1 as most significant bit."""
 
     n: int
@@ -64,8 +64,7 @@ class TruthTable:
         return "".join("1" if b else "0" for b in self.bits)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Disjoint variable blocks covering {1..n}."""
 
     n: int
@@ -94,8 +93,7 @@ class Partition:
         return cls.of(n, [[j] for j in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class SubfunctionTable:
+class SubfunctionTable(Record):
     """Deduplicated truth tables induced on one block."""
 
     block_index: int
@@ -155,8 +153,9 @@ def bound_term(sigma: int) -> float:
     return log / max(1.0, math.log2(log))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
+    """Per-block subfunction counts sigma_j, their terms and their sum."""
+
     sigmas: tuple[int, ...]
     terms: tuple[float, ...]
 
@@ -213,8 +212,9 @@ class SigmaCheckError(ArithmeticError):
     """Exact subfunction counts contradict the element-distinctness bound."""
 
 
-@dataclass(frozen=True)
-class EDSigmaReport:
+class EDSigmaReport(Record):
+    """Element distinctness's exact sigma_j per block and C(ell^2, ell - 1)."""
+
     ell: int
     sigmas: tuple[int, ...]
     binomial: int

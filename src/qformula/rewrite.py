@@ -27,7 +27,7 @@ columns come from one QR factorization and are never excited.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .analysis import (
     path_segments,
     path_sets,
 )
-from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, constant, variable
+from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, Record, constant, variable
 from .simulator import final_states, probability_vector
 
 RECONSTRUCTION_TOL = 1e-10
@@ -140,8 +140,7 @@ def decompose_disjoint(
 # path squeezing
 
 
-@dataclass(frozen=True)
-class SqueezeRecord:
+class SqueezeRecord(Record):
     """Everything extracted from one squeezable segment.
 
     ``vectors[a0, a1, c0, c1]`` is the companion-register state produced
@@ -336,8 +335,7 @@ def build_composite_gate(
     return gate
 
 
-@dataclass(frozen=True)
-class SqueezedCircuit:
+class SqueezedCircuit(Record):
     """The compressed circuit plus bookkeeping for every rewrite step."""
 
     circuit: Circuit

@@ -16,12 +16,10 @@ before the output, and merge-headed root chains, with companion counts
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circuit import Circuit, InputLabel, build_circuit, constant, variable
-from .gates import CNOT, H, SWAP, TOFFOLI, random_unitary
+from .circuit import Circuit, InputLabel, Record, build_circuit, constant, variable
+from .gates import CNOT, H, SWAP, TOFFOLI, complete_unitaries, gaussian_matrix, random_unitary
 
 
 def nonformula_example() -> Circuit:
@@ -97,8 +95,7 @@ def two_path_example(rng: np.random.Generator | None = None) -> Circuit:
     )
 
 
-@dataclass(frozen=True)
-class GeneratedFormula:
+class GeneratedFormula(Record):
     """A corpus member: the formula, its block, and a restriction."""
 
     seed: int
@@ -125,10 +122,8 @@ class _Builder:
     def const_line(self) -> int:
         return self.line(constant(int(self.rng.integers(0, 2))))
 
-    def gate(self, targets: tuple[int, ...], matrix: np.ndarray | None = None):
-        self.gate_specs.append(
-            (targets, matrix if matrix is not None else random_unitary(2 ** len(targets), self.rng))
-        )
+    def gate(self, targets: tuple[int, ...]):
+        self.gate_specs.append((targets, gaussian_matrix(2 ** len(targets), self.rng)))
 
 
 def _leaf_chain(
@@ -144,7 +139,7 @@ def _leaf_chain(
     specs: list[tuple[tuple[int, ...], np.ndarray]] = []
 
     def emit(targets):
-        specs.append((targets, random_unitary(2 ** len(targets), rng)))
+        specs.append((targets, gaussian_matrix(2 ** len(targets), rng)))
 
     emit((carrier, q1))
     v = 0
@@ -254,10 +249,12 @@ def random_formula(seed: int) -> GeneratedFormula:
     ]
     rho = tuple(sorted((remap[var], bit) for var, bit in rho))
 
+    # drawn where random_unitary would draw them; one stacked QR, bit for bit per gate
+    unitaries = complete_unitaries([matrix for _, matrix in b.gate_specs])
     circuit = build_circuit(
         num_qubits=len(labels),
         labels=labels,
-        gate_specs=b.gate_specs,
+        gate_specs=[(targets, u) for (targets, _), u in zip(b.gate_specs, unitaries)],
         output_qubit=output,
     )
     return GeneratedFormula(

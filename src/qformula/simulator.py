@@ -49,11 +49,11 @@ one counts all of the circuit's lines, the pruned one its cone's.
 ``capped_matmul`` hands BLAS no product of more than ``BLAS_SLICE_MACS``
 multiply-adds in one call when BLAS may run on more than one thread.
 
-``evaluate`` dispatches on ``is_formula``: formulas take the
-contraction, everything else the pruned, fused state vector.  Either
-way an assignment whose p lands within 1e-12 of a threshold (``_near``)
-is re-decided by the step-order state vector on the light cone's gates,
-unfused, on the cone's lines, so the verdict is the oracle's.  One
+``evaluate`` takes the step-order scan when it fits one batch, else it
+dispatches on ``is_formula``: formulas take the contraction, the others
+the pruned, fused state vector; on both, a p within 1e-12 of a threshold
+(``_near``) is re-decided by the step-order state vector on the light
+cone's gates, unfused, on the cone's lines, so the verdict is the oracle's.  One
 threshold rule, ``decide``, and one guard band, ``_near``, serve
 ``evaluate`` and the counting module.  All batched paths check every
 assignment's norm (or trace) against 1 within 1e-10.  Everything here
@@ -62,13 +62,12 @@ is deterministic and side-effect free.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import NotAFormulaError, computation_graph, is_formula
-from .circuit import Circuit, Gate, variable
+from .circuit import Circuit, Gate, Record, variable
 from .gates import capped_matmul
 
 # lines either state vector may hold: 2^20 complex amplitudes are 16 MB
@@ -199,8 +198,7 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return _apply(state.reshape([2] * num_qubits), gate).reshape(-1)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """Acceptance data for one run: p1 and the two decomposition norms."""
 
     p1: float
@@ -485,8 +483,7 @@ def _probabilities(circuit: Circuit, gates) -> np.ndarray:
 # tree contraction for formulas
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(Record):
     """One computation-graph gate of the contraction schedule.
 
     ``build`` is the einsum that joins the children's messages and the
@@ -588,8 +585,7 @@ def contract_formula(circuit: Circuit) -> np.ndarray:
 # verdicts
 
 
-@dataclass(frozen=True)
-class FunctionVerdict:
+class FunctionVerdict(Record):
     """Computes, or the first assignment where the thresholds fail.
 
     ``status`` is one of "computes", "fails", "undetermined"; for the
@@ -641,13 +637,13 @@ def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
     """Compare the circuit against a truth table over its variables.
 
     The table is indexed with x1 as the most significant bit; the first
-    failing assignment in that order is reported.  Formulas go through
-    ``contract_formula``, which has no line cap; other circuits through
-    the pruned, fused state vector, capped at ``MAX_QUBITS`` cone lines.  An
-    assignment whose p lands within 1e-12 of a threshold is re-decided
-    by the step-order state vector on the cone circuit (the graph's
-    gates, unfused, on the cone's lines) when the cone fits under
-    ``MAX_QUBITS``, so the verdict is the oracle's.
+    failing assignment in that order is reported.  A circuit whose scan
+    fits one batch goes through the step-order oracle, larger formulas
+    through ``contract_formula`` (no line cap), other circuits through the
+    pruned, fused state vector (capped at ``MAX_QUBITS`` cone lines).  On
+    those two, a p within 1e-12 of a threshold is re-decided by the
+    step-order state vector on the cone circuit (the graph's gates,
+    unfused) when the cone fits under ``MAX_QUBITS``.
     """
     circuit.check()
     n = circuit.num_variables
@@ -656,6 +652,8 @@ def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
         raise SimulationError(f"truth table has {bits.size} entries, expected {2 ** n}")
     if not np.all((bits == 0) | (bits == 1)):
         raise SimulationError("truth table entries must be 0/1")
+    if 2 ** (circuit.num_qubits + n) <= CHUNK_AMPLITUDES:  # one batch, no cap to check
+        return verdict(_scan(circuit, 0, 2 ** n), bits)
     if is_formula(circuit):
         p = contract_formula(circuit)
     else:

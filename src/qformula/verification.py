@@ -27,12 +27,10 @@ them at 1000 cases each.  A sweep needs at least one case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analysis import CompanionSet, Hop, PathSegment
-from .circuit import Circuit, Gate, build_circuit, constant
+from .circuit import Circuit, Gate, Record, build_circuit, constant
 from .gates import complete_unitaries, gaussian_matrix
 from .rewrite import decompose_disjoint, postpone
 from .simulator import _apply, _operator, to_unitary
@@ -45,8 +43,9 @@ OPERATOR_TOL = 1e-10
 CHUNK_CASES = 256
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
+    """One lemma sweep: its case count, largest deviation and tolerance."""
+
     name: str
     cases: int
     max_deviation: float

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qformula import CompanionSet, PathSegment, verification
+from qformula import CompanionSet, PathSegment, samples, verification
 from qformula.analysis import Hop
 from qformula.circuit import Gate, build_circuit, constant
 from qformula.gates import complete_unitaries, gaussian_matrix, random_unitary
@@ -247,3 +247,18 @@ def test_stacked_completion_equals_one_qr_per_matrix(dim):
     first, second = np.random.default_rng(1), np.random.default_rng(1)
     z = second.normal(size=(dim, dim)) + 1j * second.normal(size=(dim, dim))
     assert np.array_equal(random_unitary(dim, first), _one_qr(z))
+
+
+def test_corpus_is_bit_identical_to_one_qr_per_gate(monkeypatch):
+    stacked = samples.formula_corpus(20)
+    # the generator as it was: random_unitary completes each gate as it is drawn
+    monkeypatch.setattr(samples, "gaussian_matrix", random_unitary)
+    monkeypatch.setattr(samples, "complete_unitaries", list)
+    for new, old in zip(stacked, samples.formula_corpus(20), strict=True):
+        assert (new.seed, new.block, new.rho, new.target_companions) == (
+            old.seed, old.block, old.rho, old.target_companions)
+        a, b = new.formula, old.formula
+        assert (a.num_qubits, a.labels, a.output_qubit, a.arity_bound) == (
+            b.num_qubits, b.labels, b.output_qubit, b.arity_bound)
+        assert [(g.step, g.targets, g.matrix.tobytes()) for g in a.gates] == [
+            (g.step, g.targets, g.matrix.tobytes()) for g in b.gates]
