@@ -49,11 +49,11 @@ one counts all of the circuit's lines, the pruned one its cone's.
 ``capped_matmul`` hands BLAS no product of more than ``BLAS_SLICE_MACS``
 multiply-adds in one call when BLAS may run on more than one thread.
 
-``evaluate`` takes the step-order scan when it fits one batch, else it
-dispatches on ``is_formula``: formulas take the contraction, the others
-the pruned, fused state vector; on both, a p within 1e-12 of a threshold
-(``_near``) is re-decided by the step-order state vector on the light
-cone's gates, unfused, on the cone's lines, so the verdict is the oracle's.  One
+``evaluate`` dispatches on ``is_formula``: formulas take the
+contraction, everything else the pruned, fused state vector.  Either
+way an assignment whose p lands within 1e-12 of a threshold (``_near``)
+is re-decided by the step-order state vector on the light cone's gates,
+unfused, on the cone's lines, so the verdict is the oracle's.  One
 threshold rule, ``decide``, and one guard band, ``_near``, serve
 ``evaluate`` and the counting module.  All batched paths check every
 assignment's norm (or trace) against 1 within 1e-10.  Everything here
@@ -637,13 +637,13 @@ def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
     """Compare the circuit against a truth table over its variables.
 
     The table is indexed with x1 as the most significant bit; the first
-    failing assignment in that order is reported.  A circuit whose scan
-    fits one batch goes through the step-order oracle, larger formulas
-    through ``contract_formula`` (no line cap), other circuits through the
-    pruned, fused state vector (capped at ``MAX_QUBITS`` cone lines).  On
-    those two, a p within 1e-12 of a threshold is re-decided by the
-    step-order state vector on the cone circuit (the graph's gates,
-    unfused) when the cone fits under ``MAX_QUBITS``.
+    failing assignment in that order is reported.  Formulas go through
+    ``contract_formula``, which has no line cap; other circuits through
+    the pruned, fused state vector, capped at ``MAX_QUBITS`` cone lines.  An
+    assignment whose p lands within 1e-12 of a threshold is re-decided
+    by the step-order state vector on the cone circuit (the graph's
+    gates, unfused, on the cone's lines) when the cone fits under
+    ``MAX_QUBITS``, so the verdict is the oracle's.
     """
     circuit.check()
     n = circuit.num_variables
@@ -652,8 +652,6 @@ def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
         raise SimulationError(f"truth table has {bits.size} entries, expected {2 ** n}")
     if not np.all((bits == 0) | (bits == 1)):
         raise SimulationError("truth table entries must be 0/1")
-    if 2 ** (circuit.num_qubits + n) <= CHUNK_AMPLITUDES:  # one batch, no cap to check
-        return verdict(_scan(circuit, 0, 2 ** n), bits)
     if is_formula(circuit):
         p = contract_formula(circuit)
     else:

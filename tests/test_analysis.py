@@ -17,7 +17,6 @@ from qformula import (
     path_segments,
     path_sets,
     restrict,
-    simulator,
     squeeze_all,
     variable,
 )
@@ -313,8 +312,7 @@ def test_formula_analyses_and_squeezing_share_one_derivation(derivations):
 
 
 @pytest.mark.parametrize("make", [formula_example, nonformula_example])
-def test_evaluate_derives_the_wiring_once(monkeypatch, derivations, make):
-    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 1)  # past one batch: the fast paths
+def test_evaluate_derives_the_wiring_once(derivations, make):
     c = make()
     evaluate(c, [0, 0, 0, 0])
     assert derivations == [c]

@@ -31,7 +31,7 @@ from qformula import (
     variable,
 )
 from qformula import simulator
-from qformula.gates import CNOT, H, SWAP, TOFFOLI, X, capped_matmul, random_unitary
+from qformula.gates import CNOT, H, SWAP, TOFFOLI, capped_matmul, random_unitary
 from qformula.samples import formula_example, nonformula_example, toffoli_and_circuit
 from qformula.simulator import (
     SimulationError,
@@ -571,37 +571,7 @@ def test_lazy_path_names_the_first_drifting_assignment_at_any_budget(monkeypatch
 # evaluate: dispatch, verdicts and the line cap
 
 
-@pytest.fixture
-def fast_paths(monkeypatch):
-    """A batch budget of one amplitude puts every circuit past one batch,
-    so ``evaluate`` takes the contraction or the pruned path, not the
-    whole step-order scan."""
-    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 1)
-
-
-def test_a_circuit_within_one_batch_is_decided_by_the_step_order_scan(corpus, monkeypatch):
-    contracted = []
-    real = simulator.contract_formula
-    monkeypatch.setattr(simulator, "contract_formula", lambda c: contracted.append(c) or real(c))
-    for member in corpus:
-        f_rho = restrict(member.formula, member.block, member.restriction)
-        for c in (f_rho, squeeze_all(f_rho, member.block).circuit):
-            assert 2 ** (c.num_qubits + c.num_variables) <= simulator.CHUNK_AMPLITUDES
-            p = probability_vector(c)
-            table = (p > 0.5).astype(int)
-            flipped = table.copy()
-            flipped[-1] ^= 1
-            for bits in (table, flipped):
-                assert evaluate(c, bits) == verdict(p, bits)  # status, alpha and p
-    assert contracted == []
-    # 2^16 amplitudes: past one batch, so the contraction runs
-    wide = build_circuit(15, [variable(1)] + [constant(0)] * 14, [((0,), X)], output_qubit=0)
-    assert is_formula(wide)
-    assert evaluate(wide, [1, 0]).computes
-    assert contracted == [wide]
-
-
-def test_evaluate_matches_run_scan_on_formulas(corpus, fast_paths):
+def test_evaluate_matches_run_scan_on_formulas(corpus):
     for member in corpus[:40]:
         restricted = restrict(member.formula, member.block, member.restriction)
         for circuit in (member.formula, restricted):
@@ -614,7 +584,7 @@ def test_evaluate_matches_run_scan_on_formulas(corpus, fast_paths):
             assert_same_verdict(circuit, np.array(table))
 
 
-def test_evaluate_matches_run_scan_on_general_circuits(fast_paths):
+def test_evaluate_matches_run_scan_on_general_circuits():
     rng = np.random.default_rng(3)
     generated = [random_general(rng, 6, 4, 30) for _ in range(8)]
     circuits = [nonformula_example()] + [c for c in generated if not is_formula(c)]
@@ -692,10 +662,9 @@ def rotation_formula(p0):
 
 
 @pytest.fixture
-def redecided(monkeypatch, fast_paths):
+def redecided(monkeypatch):
     """The assignments, x1 first, that the step-order scan runs: in
-    ``evaluate``, past one batch, the re-decisions, each an assignment of
-    the cone circuit."""
+    ``evaluate``, the re-decisions, each an assignment of the cone circuit."""
     calls = []
     real_scan = simulator._scan
 
@@ -830,7 +799,7 @@ def test_boundary_redecision_on_a_cone_that_drops_a_gate(redecided, build, formu
 
 
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
-def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, fast_paths, true_offset):
+def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true_offset):
     c = rotation_nonformula(1 / 3 + true_offset)
     real = fused_probabilities(c)
     # a fused path that lands on the other side of 1/3 than run does
@@ -847,7 +816,7 @@ def test_p_outside_the_guard_window_is_not_redecided(redecided):
 
 
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
-def test_boundary_verdict_follows_the_state_vector(monkeypatch, fast_paths, true_offset):
+def test_boundary_verdict_follows_the_state_vector(monkeypatch, true_offset):
     c = rotation_formula(1 / 3 + true_offset)
     real = contract_formula(c)
     # a contraction that lands on the other side of 1/3 than run does
@@ -893,7 +862,7 @@ def test_batched_state_vector_raises_on_norm_drift():
         evaluate(c, [0, 0, 0, 0])
 
 
-def test_fused_state_vector_raises_on_norm_drift(fast_paths):
+def test_fused_state_vector_raises_on_norm_drift():
     c = nonformula_example()
     c.check()
     _force_matrix(c, 1, c.gates[1].matrix @ np.diag([1, 1, 1, 0.5]))  # input x1 = x2 = 1
