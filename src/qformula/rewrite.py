@@ -44,7 +44,7 @@ from .analysis import (
     path_sets,
 )
 from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, Record, constant, variable
-from .simulator import final_states, probability_vector
+from .simulator import _require_cap, final_states, probability_vector
 
 RECONSTRUCTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -244,7 +244,8 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
     lines, and factors the 16 companion vectors by one SVD (the rank
     counts singular values above ``DEFAULT_RANK_TOL`` times the largest).
     The expansion is verified to reconstruct the vectors within 1e-10 and
-    to be an isometry on the four inputs.
+    to be an isometry on the four inputs.  Raises SimulationError when
+    the 2 + v local lines exceed the simulator's ``MAX_QUBITS``.
     """
     cs = companions
     if not segment.squeezable:
@@ -269,6 +270,7 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
         gates=tuple(g.moved(g.step, [local[t] for t in g.targets]) for g in sim_gates),
         output_qubit=0,
     )
+    _require_cap(local_circuit)  # final_states takes no cap of its own
     vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
 
     flat = vectors.reshape(16, 2 ** v)

@@ -20,13 +20,17 @@ Three paths push the assignments through in batches of at most
   past every kept one and never acts on the output line, so p is
   exact), fused into blocks on at most ``FUSED_LINES`` lines, one
   matrix each.  A cone line joins the state at the first block on it
-  (the output line at the end if none), as a constant's basis vector or
-  a copy of its variable; a variable joins the scan with its first
-  line, so earlier blocks run once for both of its values, and p is
-  broadcast over the variables off the cone.  The first variables to
-  join are batch axes, as many as fit the budget; at each later one the
-  state is saved (each saved state is at least twice the one before)
-  and the rest runs once per value.
+  (the output line at the end if none); a variable joins the scan with
+  its first line, so earlier blocks run once for both of its values,
+  and p is broadcast over the variables off the cone.  The first
+  variables to join are batch axes, as many as fit the budget, each of
+  their lines joining as a copy of the variable's axis.  At each later
+  variable the state is saved (each saved state is at least twice the
+  one before) and the rest runs once per value.  A constant's line, or
+  such a branch variable's, joins inside its first block: the block
+  reads the state without it, keeps only the columns of its known input
+  bit (one matrix per value of the block's branch variables) and writes
+  the line among its axes, so no product runs on the zero half.
   The state is real: float64 with one more axis, re/im, and each
   block's matrix U is realified once, as [[Re U, -Im U], [Im U, Re U]]
   over (re/im, its lines).  The plan fixes the state's memory order of
@@ -62,6 +66,7 @@ is deterministic and side-effect free.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -340,14 +345,21 @@ def _cone(circuit: Circuit, gates) -> tuple[Circuit, list[int]]:
 
 
 class _Run(NamedTuple):
-    """A fused block as the pruned plan runs it: a real matrix on the
-    adjacent axes ``targets``, after a copy into the axis order ``order``
-    unless that is None."""
+    """A fused block as the pruned plan runs it: after a copy of the
+    state into the axis order ``order`` unless that is None, one real
+    matrix that writes the adjacent axes ``targets`` of the new state.
+    The lines that join at the block are not in the state it reads, nor
+    in ``order``.  ``matrices`` holds one matrix per value of the block's
+    ``branch`` variables, indexed by their bits (the whole array when
+    there are none); each keeps only the columns in which the joining
+    lines hold their input bits, 2^(k+1) rows by 2^(k+1-j) columns when
+    j lines join a k-line block."""
 
     step: int
     targets: tuple[int, ...]
-    matrix: np.ndarray
+    matrices: np.ndarray
     order: tuple[int, ...] | None
+    branch: tuple[int, ...]
 
 
 def _chain(axes: list, blocks: list) -> list:
@@ -370,13 +382,15 @@ def _chain(axes: list, blocks: list) -> list:
     return rest[:mid] + seq + rest[mid:] + [a for a in axes if a is not None and a < 0]
 
 
-def _realify(matrix: np.ndarray, order: list[int]) -> np.ndarray:
+def _realify(matrix: np.ndarray, order: list[int], known: dict) -> np.ndarray:
     """[[Re U, -Im U], [Im U, Re U]] over (re/im, U's lines), its axes
-    permuted to ``order``."""
+    permuted to ``order``, with only the columns in which each axis of
+    ``known`` (an index into (re/im, U's lines)) holds its bit."""
     real = np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
     k = len(order)
     real = real.reshape((2,) * 2 * k).transpose(*order, *(k + a for a in order))
-    return real.reshape(2 ** k, 2 ** k).copy()
+    columns = tuple(known.get(a, slice(None)) for a in order)
+    return real[(slice(None),) * k + columns].reshape(2 ** k, -1)
 
 
 def _plan(cone: Circuit, batch: list[int]) -> tuple[list, list]:
@@ -384,17 +398,25 @@ def _plan(cone: Circuit, batch: list[int]) -> tuple[list, list]:
     the end: the re/im axis (None), lines q and batch variables v as -v.
 
     A line joins at its first block (the output line at the end if
-    none) as the front axis, in a growth step (shape, source): the state
-    times a constant's basis vector, ``_BASIS`` whole to copy a batch
-    variable (whose axis joins last), or a branch variable's (index)
-    basis vector.  A block is a ``_Run``, copied first into the order
-    ``_chain`` plans when its lines and the re/im axis are not adjacent.
+    none).  A constant's or a branch variable's line joins inside that
+    block: the ``_Run`` reads the state without the line and writes it
+    among the block's axes, its matrices keeping only the columns of the
+    line's input bit.  A batch variable's line, and an output line that
+    no block is on, join first as the front axis, in a growth step
+    (shape, source): the state times ``_BASIS`` whole to copy a batch
+    variable (whose axis joins last), a constant's basis vector, or a
+    branch variable's (index) basis vector.  The lines that join inside
+    a block go in front too: when the block's lines and the re/im axis
+    are then not adjacent, its input is first copied into the order
+    ``_chain`` plans, less those lines.
     """
     out, blocks = cone.output_qubit, [g.targets for g in cone.gates]
     axes: list = [None]
     plan: list = []
     for i, gate in enumerate([*cone.gates, None]):
-        for q in [q for q in (gate.targets if gate else [out]) if q not in axes]:
+        new = [q for q in (gate.targets if gate else [out]) if q not in axes]
+        folded = [q for q in new if gate and cone.labels[q].var not in batch]
+        for q in (q for q in new if q not in folded):
             v = cone.labels[q].var
             if v in batch and -v not in axes:
                 axes.append(-v)
@@ -402,31 +424,48 @@ def _plan(cone: Circuit, batch: list[int]) -> tuple[list, list]:
             plan.append((tuple(2 if a in (q, -v if v in batch else q) else 1 for a in axes),
                          _BASIS if v in batch else v or _BASIS[cone.labels[q].const]))
         if gate:
-            run, order = {None, *gate.targets}, None
-            at = [j for j, a in enumerate(axes) if a in run]
+            run, joined, order = {None, *gate.targets}, folded[::-1] + axes, None
+            at = [j for j, a in enumerate(joined) if a in run]
             if at[-1] - at[0] >= len(at):
-                new = _chain(axes, blocks[i:])
-                order, axes = tuple(axes.index(a) for a in new), new
-                at = [j for j, a in enumerate(axes) if a in run]
-            local = [(None, *gate.targets).index(axes[j]) for j in at]
-            plan.append(_Run(gate.step, tuple(at), _realify(gate.matrix, local), order))
+                joined = _chain(joined, blocks[i:])
+                order = tuple(axes.index(a) for a in joined if a not in folded)
+                at = [j for j, a in enumerate(joined) if a in run]
+            local = [(None, *gate.targets).index(joined[j]) for j in at]
+            labels = {1 + gate.targets.index(q): cone.labels[q] for q in folded}  # by local axis
+            branch = tuple(dict.fromkeys(lb.var for lb in labels.values() if lb.is_variable))
+            values = [dict(zip(branch, bits))
+                      for bits in itertools.product((0, 1), repeat=len(branch))]
+            matrices = np.array([
+                _realify(gate.matrix, local,
+                         {a: value.get(lb.var, lb.const) for a, lb in labels.items()})
+                for value in values])
+            shape = (2,) * len(branch) + matrices.shape[1:]
+            plan.append(_Run(gate.step, tuple(at), matrices.reshape(shape), order, branch))
+            axes = joined
     return plan, axes
 
 
-def _run_block(tensor: np.ndarray, block: _Run, home: np.ndarray, spare: np.ndarray) -> np.ndarray:
+def _run_block(tensor: np.ndarray, block: _Run, home: np.ndarray, spare: np.ndarray,
+               bits: tuple[int, ...]) -> np.ndarray:
     """One block of the pruned plan on its real state in ``home``, whose
-    axes all have size 2.  Copied to ``spare`` in the axis order
-    ``block.order`` unless that is None, the state has the block's axes
-    adjacent, a..a+k-1, and the block is one batched (2^a, 2^k, rest)
-    product into the other buffer: ``spare``, or ``home`` after a copy."""
+    axes all have size 2, with the matrix for its branch variables'
+    ``bits``.  Copied to ``spare`` in the axis order ``block.order``
+    unless that is None, the state has the re/im axis and the block's
+    lines that it holds adjacent, from axis a on, and the block is one
+    batched (2^a, rows, columns) product into the other buffer:
+    ``spare``, or ``home`` after a copy.  The product's rows are the
+    block's axes, the lines that join it among them, so a block that
+    lines join writes a state 2^j times larger than it reads."""
     if block.order is not None:
         front = tensor.transpose(block.order)
         tensor = spare[:tensor.size].reshape(front.shape)
         np.copyto(tensor, front)
         home, spare = spare, home
-    view = tensor.reshape(1 << block.targets[0], 1 << len(block.targets), -1)
-    out = spare[:tensor.size].reshape(view.shape)
-    return capped_matmul(block.matrix, view, out).reshape(tensor.shape)
+    matrix = block.matrices[bits]
+    rows, cols = matrix.shape
+    view = tensor.reshape(1 << block.targets[0], cols, -1)
+    out = spare[:tensor.size // cols * rows].reshape(len(view), rows, -1)
+    return capped_matmul(matrix, view, out).reshape((2,) * (out.size.bit_length() - 1))
 
 
 def _probabilities(circuit: Circuit, gates) -> np.ndarray:
@@ -448,16 +487,23 @@ def _probabilities(circuit: Circuit, gates) -> np.ndarray:
     while pending:
         tensor, start, fixed = pending.pop()
         for i in range(start, len(plan)):
-            if isinstance(plan[i], _Run):
-                tensor = _run_block(tensor, plan[i], home, spare)
-                if plan[i].order is None:  # the state moved to spare
+            step = plan[i]
+            # the variables whose bits the step reads: a block's branch
+            # variables, or a growth step's source if that is one
+            reads = (step.branch if isinstance(step, _Run)
+                     else [v for v in step[1:] if isinstance(v, int)])
+            free = [v for v in reads if v not in fixed]
+            if free:  # the state so far runs once per value of the free variables
+                prefix = tensor.copy()
+                pending += [(prefix, i, {**fixed, **dict(zip(free, bits))})
+                            for bits in itertools.product((1, 0), repeat=len(free))]
+                break
+            if isinstance(step, _Run):
+                tensor = _run_block(tensor, step, home, spare, tuple(fixed[v] for v in reads))
+                if step.order is None:  # the state moved to spare
                     home, spare = spare, home
                 continue
-            shape, source = plan[i]
-            if isinstance(source, int) and source not in fixed:  # branch on x_source
-                prefix = tensor.copy()
-                pending += [(prefix, i, {**fixed, source: bit}) for bit in (1, 0)]
-                break
+            shape, source = step
             if len(shape) > tensor.ndim + 1:  # a batch variable's axis joins, last
                 tensor = tensor[..., None]
             factor = _BASIS[fixed[source]] if isinstance(source, int) else source

@@ -3,20 +3,25 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qformula
 
-from qformula import read_circuit, write_circuit, write_truth_table
+from qformula import (
+    build_circuit, constant, is_formula, read_circuit, restrict, write_circuit, write_truth_table,
+)
 from qformula.cli import main
-from qformula.samples import formula_example, nonformula_example, two_path_example
+from qformula.gates import random_unitary
+from qformula.samples import formula_corpus, formula_example, nonformula_example, two_path_example
 
 
 def run_cli(capsys, *argv):
@@ -549,6 +554,47 @@ def test_squeeze_with_a_block_and_its_restriction(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "squeeze", "--json", "-c", str(source), "--block=1", rho)
         assert code == 0
         assert json.loads(out)["max_probability_deviation"] <= 1e-9
+
+
+def stitched_formula(s):
+    """A formula past the squeeze's line cap: corpus member 0 of
+    ``formula_corpus(200, base_seed=200 s)``, restricted to its block,
+    with members 1, 2, ... appended side by side, every variable set to
+    0, until it has more than 24 lines; one Haar 2-qubit gate merges the
+    head's output with each appended member's output."""
+    corpus = formula_corpus(200, base_seed=200 * s)
+    head = restrict(corpus[0].formula, corpus[0].block, corpus[0].restriction)
+    labels, out = list(head.labels), head.output_qubit
+    specs = [(g.targets, g.matrix) for g in head.gates]
+    rng = np.random.default_rng(s)
+    for member in corpus[1:]:
+        if len(labels) > 24:
+            break
+        f, off = member.formula, len(labels)
+        labels += [constant(0) if lb.is_variable else lb for lb in f.labels]
+        specs += [(tuple(off + q for q in g.targets), g.matrix) for g in f.gates]
+        specs.append(((out, off + f.output_qubit), random_unitary(4, rng)))
+    return build_circuit(len(labels), labels, specs, out,
+                         arity_bound=max(m.formula.arity_bound for m in corpus))
+
+
+def test_squeeze_past_the_line_cap_exits_1_without_a_traceback(tmp_path):
+    c = stitched_formula(0)
+    assert c.num_qubits > 24 and is_formula(c)
+    path = tmp_path / "stitched.json"
+    write_circuit(c, path)
+    # one segment has 23 companion lines: its 25-line register would take
+    # 2 GiB, so the cap check must come first (the address space is capped
+    # at 2 GB so that a missing check fails the test, not the host)
+    env = {**os.environ, "PYTHONPATH": str(Path(qformula.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qformula.cli", "squeeze", "--no-verify", "-c", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9)),
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and "exceeds the simulation cap 20" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -458,8 +458,9 @@ def test_pruned_path_scans_only_the_cone_variables(monkeypatch):
     for bits in (table, 1 - table):
         calls.clear()
         got = evaluate(c, bits)
-        # the one block runs over x1 and x3, not 8 times over x1, x2 and x3
-        assert calls == [(5, 2 ** 4)] * 4
+        # the one block runs over x1 and x3, not 8 times over x1, x2 and x3;
+        # all four cone lines join inside it, so it reads one amplitude
+        assert calls == [(5, 1)] * 4
         assert (got.status, got.alpha) == scan_verdict(c, bits)[:2]
     batches = counted_batches(monkeypatch)
     probability_vector(c)
@@ -517,14 +518,19 @@ def test_lines_join_the_pruned_state_at_their_first_block(monkeypatch, make, bud
     calls = kernel_calls(monkeypatch)
     monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
     assert np.max(np.abs(_probabilities(c, blocks) - expected)) <= TOL
-    # block i acts on the lines joined so far and once per value of the
+    # block i reads the lines joined before it, and its own variables'
+    # lines when they are batch axes (a constant or a branch variable's
+    # line joins inside the block); it runs once per value of the
     # variables joined so far: as many runs when they branch, one run
     # with them as batch axes when none does
     for i, block in enumerate(blocks):
         lines = {q for b in blocks[:i + 1] for q in b.targets}
         joined = 2 ** len({c.labels[q].var for q in lines} - {None})
+        read = {q for b in blocks[:i] for q in b.targets}
+        if budget > 1:
+            read |= {q for q in block.targets if c.labels[q].is_variable}
         runs = [size for step, size in calls if step == block.step]
-        assert runs == ([2 ** len(lines)] * joined if budget == 1 else [joined << len(lines)])
+        assert runs == ([2 ** len(read)] * joined if budget == 1 else [joined << len(read)])
 
 
 def test_plan_copies_a_split_block_once_and_chains_the_blocks_after_it():
@@ -565,6 +571,112 @@ def test_lazy_path_names_the_first_drifting_assignment_at_any_budget(monkeypatch
     monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
     with pytest.raises(SimulationError, match="state norm drifted .* at assignment 100"):
         fused_probabilities(c)
+
+
+def haar_circuit(labels, targets, output_qubit, seed):
+    rng = np.random.default_rng(seed)
+    specs = [(t, random_unitary(2 ** len(t), rng)) for t in targets]
+    return build_circuit(len(labels), labels, specs, output_qubit,
+                         arity_bound=max([1, *map(len, targets)]))
+
+
+# the first three gates make a diamond (gate 1 feeds gates 2 and 3, gate 2
+# feeds gate 3), so each circuit but the untouched-output ones is a
+# non-formula; in DIAMOND_3, two lines join the 3-qubit gate 2
+DIAMOND_3 = [(0, 1), (0, 2, 3), (1, 2), (1, 3)]
+DIAMOND_2 = [(0, 1), (0, 2), (1, 2), (2, 3)]
+FOLD_CASES = {
+    "constant-joins-the-last-block": lambda: haar_circuit(
+        [variable(1), variable(2), variable(3), constant(1)], DIAMOND_2, 3, 60),
+    "two-constants-join-one-block": lambda: haar_circuit(
+        [variable(1), variable(2), constant(0), constant(1)], DIAMOND_3, 1, 61),
+    "a-constant-and-a-variable-join-one-block": lambda: haar_circuit(
+        [variable(1), variable(2), constant(1), variable(3)], DIAMOND_3, 1, 62),
+    "two-variables-join-one-block": lambda: haar_circuit(
+        [variable(1), variable(2), variable(3), variable(4)], DIAMOND_3, 1, 63),
+    "one-variable-joins-one-block-on-two-lines": lambda: haar_circuit(
+        [variable(1), variable(2), variable(3), variable(3)], DIAMOND_3, 1, 64),
+    "one-variable-joins-two-blocks": lambda: haar_circuit(
+        [variable(1), variable(2), constant(0), variable(1)], DIAMOND_2, 3, 65),
+    "untouched-output-variable": lambda: haar_circuit(
+        [variable(1), variable(2), constant(0), variable(2)], [(0, 1), (0, 2), (1, 2)], 3, 66),
+    "untouched-output-constant": lambda: haar_circuit(
+        [variable(1), variable(2), constant(1)], [(0, 1)], 2, 67),
+}
+# batch variables: none, so that every variable branches; the first to
+# join, so that the others branch; or all of them
+BRANCHING = {"every-variable-branches": 0, "some-branch": 1, "none-branches": 20}
+
+
+def plan_budget(circuit, batch_variables):
+    """A ``CHUNK_AMPLITUDES`` that makes that many cone variables batch axes."""
+    cone, _ = _cone(circuit, _fused_schedule(circuit))
+    return 1 << min(20, cone.num_qubits + batch_variables)
+
+
+@pytest.mark.parametrize("fused_lines", [2, 4])
+@pytest.mark.parametrize("branching", BRANCHING.values(), ids=BRANCHING.keys())
+@pytest.mark.parametrize("make", FOLD_CASES.values(), ids=FOLD_CASES.keys())
+def test_lines_that_join_inside_a_block_match_the_oracle(monkeypatch, make, branching, fused_lines):
+    c = make()
+    # evaluate takes the pruned path unless no gate is on the output line
+    assert is_formula(c) == (not any(c.output_qubit in g.targets for g in c.gates))
+    expected = probability_vector(c)
+    tables = [(expected > 0.5).astype(int), (expected <= 0.5).astype(int)]
+    monkeypatch.setattr(simulator, "FUSED_LINES", fused_lines)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", plan_budget(c, branching))
+    assert np.max(np.abs(_probabilities(c, _fused_schedule(c)) - expected)) <= TOL
+    for table in tables:
+        got, oracle = evaluate(c, table), verdict(expected, table)
+        assert (got.status, got.alpha) == (oracle.status, oracle.alpha)
+        if oracle.p is not None:
+            assert abs(got.p - oracle.p) <= TOL
+
+
+@pytest.mark.parametrize("branching", BRANCHING.values(), ids=BRANCHING.keys())
+@pytest.mark.parametrize("make", FOLD_CASES.values(), ids=FOLD_CASES.keys())
+def test_plan_grows_the_state_only_for_batch_lines_and_an_untouched_output_line(
+        monkeypatch, make, branching):
+    monkeypatch.setattr(simulator, "FUSED_LINES", 2)  # one block per gate
+    cone, _ = _cone(make(), _fused_schedule(make()))
+    lines = dict.fromkeys([q for g in cone.gates for q in g.targets] + [cone.output_qubit])
+    joins = [v for v in dict.fromkeys(cone.labels[q].var for q in lines) if v is not None]
+    batch = joins[:branching]
+    plan, _ = _plan(cone, batch)
+    runs = [step for step in plan if isinstance(step, simulator._Run)]
+    grown = [step for step in plan if not isinstance(step, simulator._Run)]
+    batch_lines = [q for q in lines if cone.labels[q].var in batch]
+    touched = {q for g in cone.gates for q in g.targets}
+    untouched = [q for q in lines if q not in batch_lines and q not in touched]
+    assert len(grown) == len(batch_lines) + len(untouched)
+    assert sum(source is simulator._BASIS for _, source in grown) == len(batch_lines)
+    # a k-line block that j lines join: 2^(k+1) rows, 2^(k+1-j) columns, one
+    # matrix per value of the branch variables among those lines
+    seen = set(batch_lines)
+    for gate, run in zip(cone.gates, runs):
+        joining = [q for q in gate.targets if q not in seen]
+        seen |= set(gate.targets)
+        k, j = gate.arity, len(joining)
+        variables = dict.fromkeys(cone.labels[q].var for q in joining)
+        branch = tuple(v for v in variables if v is not None)
+        assert run.branch == branch
+        assert run.matrices.shape == (2,) * len(branch) + (2 ** (k + 1), 2 ** (k + 1 - j))
+
+
+@pytest.mark.parametrize("branching", BRANCHING.values(), ids=BRANCHING.keys())
+def test_a_drifting_block_that_lines_join_names_the_first_bad_assignment(monkeypatch, branching):
+    c = FOLD_CASES["a-constant-and-a-variable-join-one-block"]()
+    # gate 2 on lines 0, 2 (constant 1) and 3 (x3), the last two joining
+    # it, shrinks the inputs in which line 3 is 1: first at assignment 001
+    _force_matrix(c, 1, c.gates[1].matrix @ np.diag([1, 1, 1, 0.5] * 2))
+    monkeypatch.setattr(simulator, "FUSED_LINES", 3)
+    assert [b.targets for b in _fused_schedule(c)][:2] == [(0, 1), (0, 2, 3)]
+    with pytest.raises(SimulationError, match="state norm drifted .* at assignment 001"):
+        probability_vector(c)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", plan_budget(c, branching))
+    for simulate in (fused_probabilities, lambda c: evaluate(c, [0] * 8)):
+        with pytest.raises(SimulationError, match="state norm drifted .* at assignment 001"):
+            simulate(c)
 
 
 # ---------------------------------------------------------------------------

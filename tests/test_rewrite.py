@@ -43,7 +43,7 @@ from qformula.samples import (
     toffoli_and_circuit,
     two_path_example,
 )
-from qformula.simulator import apply_gate
+from qformula.simulator import SimulationError, apply_gate
 
 I4 = np.eye(4, dtype=complex)
 
@@ -381,6 +381,25 @@ def test_squeeze_rank_bounds_with_three_companions():
     assert 1 <= record.rank <= 16
     weights = np.sum(np.abs(record.coefficients) ** 2, axis=(2, 3, 4))
     assert np.max(np.abs(weights - 1.0)) <= 1e-10
+
+
+def test_squeeze_path_refuses_a_register_past_the_line_cap(monkeypatch):
+    import qformula.simulator as simulator
+
+    c = _identity_interior_circuit()
+    ps = path_sets(c, {1})
+    (segment,) = path_segments(c, ps)
+    cs = companion_set_of_path(c, ps, segment)
+    width = 2 + len(cs.qubits)  # the head lines and the companions
+    # the cap is the simulator's, read when the squeeze runs
+    monkeypatch.setattr(simulator, "MAX_QUBITS", width - 1)
+    cap = f"{width} qubits exceeds the simulation cap {width - 1}"
+    with pytest.raises(SimulationError, match=cap):
+        squeeze_path(c, segment, cs)
+    with pytest.raises(SimulationError, match="exceeds the simulation cap"):
+        squeeze_all(c, {1}, verify=False)
+    monkeypatch.setattr(simulator, "MAX_QUBITS", width)
+    assert squeeze_path(c, segment, cs).num_companions == width - 2
 
 
 def test_squeeze_classifies_junk_gates_as_postponed():
