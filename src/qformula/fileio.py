@@ -28,7 +28,8 @@ UTF-8, not JSON, nested too deep, a number too large for a float) is a
 Truth-table files are exactly two lines (trailing blank lines aside):
 the variable count n, then 2^n characters of 0/1 where the index is read
 with x1 as the most significant bit.  Partition files list one block per line as
-space-separated variable indices.  Gate-net files (``qf enumerate
+space-separated variable indices.  Counts and indices are ASCII decimal
+digits, no sign, underscore or other script's digit.  Gate-net files (``qf enumerate
 --net``) are a JSON list of ``{"name": str, "matrix": [[re, im], ...]}``
 objects, each matrix 4^k entries for k >= 1, read like a gate's.
 """
@@ -51,6 +52,16 @@ class FormatError(ValueError):
 def _require(condition: bool, message: str):
     if not condition:
         raise FormatError(message)
+
+
+def _decimal(token: str, what: str) -> int:
+    """A count or index from a text file: ASCII decimal digits only, where
+    ``int`` alone would also take a sign, underscores and other scripts' digits."""
+    _require(token.isascii() and token.isdigit(), f"{what} must be ASCII decimal digits, got {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"{what} has {len(token)} digits, too many to read") from None
 
 
 def _is_int(value) -> bool:
@@ -117,12 +128,13 @@ def _matrix_text(matrix: np.ndarray) -> str:
 
 
 def _matrix_from_json(entries, arity: int, where: str) -> np.ndarray:
-    dim = 2 ** arity
     _require(isinstance(entries, list), f"{where}: matrix must be a list")
+    # the arity comes from the file: 4^arity is compared by bit length, not built
     _require(
-        len(entries) == dim * dim,
-        f"{where}: matrix must have {dim * dim} entries for {arity} targets, got {len(entries)}",
+        len(entries).bit_length() == 2 * arity + 1 and len(entries) == 1 << 2 * arity,
+        f"{where}: matrix must have 4^{arity} entries for {arity} targets, got {len(entries)}",
     )
+    dim = 1 << arity
     try:  # [re, im] pairs of JSON numbers (no bool, no string): one conversion
         if set(map(type, chain.from_iterable(entries))) <= {int, float}:
             pairs = np.array(entries, dtype=float)
@@ -264,14 +276,12 @@ def read_truth_table(path) -> tuple[int, np.ndarray]:
     while lines and not lines[-1]:
         lines.pop()
     _require(len(lines) == 2, f"{path}: expected a count line and a bits line, nothing else")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise FormatError(f"{path}: first line must be the variable count") from None
-    bits = lines[1]
-    _require(n >= 0, f"{path}: negative variable count")
+    count, bits = lines
+    n = _decimal(count, f"{path}: the variable count")
+    # n comes from the file: 2^n is compared by bit length, not built
     _require(
-        len(bits) == 2 ** n, f"{path}: expected {2 ** n} bits for n={n}, got {len(bits)}"
+        len(bits).bit_length() == n + 1 and len(bits) == 1 << n,
+        f"{path}: expected 2^{n} bits for n={n}, got {len(bits)}",
     )
     _require(set(bits) <= {"0", "1"}, f"{path}: bits line must contain only 0/1")
     return n, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
@@ -296,10 +306,7 @@ def read_partition(path) -> list[frozenset[int]]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            indices = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: blocks must be integers") from None
+        indices = [_decimal(tok, f"{path}:{lineno}: a variable index") for tok in line.split()]
         _require(bool(indices), f"{path}:{lineno}: empty block")
         blocks.append(frozenset(indices))
     _require(bool(blocks), f"{path}: no blocks found")

@@ -44,7 +44,7 @@ from .analysis import (
     path_sets,
 )
 from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, Record, constant, variable
-from .simulator import _require_cap, final_states, probability_vector
+from .simulator import SimulationError, _require_cap, final_states, probability_vector
 
 RECONSTRUCTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -244,8 +244,9 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
     lines, and factors the 16 companion vectors by one SVD (the rank
     counts singular values above ``DEFAULT_RANK_TOL`` times the largest).
     The expansion is verified to reconstruct the vectors within 1e-10 and
-    to be an isometry on the four inputs.  Raises SimulationError when
-    the 2 + v local lines exceed the simulator's ``MAX_QUBITS``.
+    to be an isometry on the four inputs.  Raises SimulationError, naming
+    the segment's steps and v, when the 2 + v local lines exceed the
+    simulator's ``MAX_QUBITS``.
     """
     cs = companions
     if not segment.squeezable:
@@ -270,7 +271,10 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
         gates=tuple(g.moved(g.step, [local[t] for t in g.targets]) for g in sim_gates),
         output_qubit=0,
     )
-    _require_cap(local_circuit)  # final_states takes no cap of its own
+    try:  # final_states takes no cap of its own
+        _require_cap(local_circuit)
+    except SimulationError as exc:  # the register, not the circuit, is too wide
+        raise SimulationError(f"segment at steps {cs.j0}-{cs.j1} with {v} companion lines: {exc}") from None
     vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
 
     flat = vectors.reshape(16, 2 ** v)

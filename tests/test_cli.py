@@ -1,26 +1,22 @@
 import contextlib
 import io
 import json
-import os
 import re
-import resource
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qformula
-
 from qformula import (
-    build_circuit, constant, is_formula, read_circuit, restrict, write_circuit, write_truth_table,
+    build_circuit, constant, is_formula, read_circuit, restrict, variable, write_circuit,
+    write_truth_table,
 )
 from qformula.cli import main
-from qformula.gates import random_unitary
+from qformula.fileio import circuit_to_json
+from qformula.gates import CNOT, H, SWAP, TOFFOLI, random_unitary
+from qformula.nechiporuk import bound_term
 from qformula.samples import formula_corpus, formula_example, nonformula_example, two_path_example
 
 
@@ -30,20 +26,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_ed_emit_then_nechiporuk_totals_four(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "ed", "--ell", "2", "--emit", "--dir", str(tmp_path))
+@pytest.mark.parametrize("ell, sigma", [(2, 4), (4, 561)])
+def test_ed_check_emit_then_nechiporuk_count_the_same_sigmas(tmp_path, capsys, ell, sigma):
+    code, out, _ = run_cli(capsys, "ed", "--ell", str(ell), "--check", "--emit",
+                           "--dir", str(tmp_path), "--json")
     assert code == 0
+    assert json.loads(out)["sigmas"] == [sigma] * ell
     code, out, _ = run_cli(
         capsys,
         "nechiporuk",
-        "-f", str(tmp_path / "ed4.tt"),
-        "-p", str(tmp_path / "ed4.part"),
+        "-f", str(tmp_path / f"ed{ell * ell}.tt"),
+        "-p", str(tmp_path / f"ed{ell * ell}.part"),
         "--json",
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["total"] == pytest.approx(4.0)
-    assert [b["sigma"] for b in payload["blocks"]] == [4, 4]
+    assert payload["total"] == pytest.approx(ell * bound_term(sigma))  # 4.0 at ell = 2
+    assert [b["sigma"] for b in payload["blocks"]] == [sigma] * ell
 
 
 def test_analyze_reports_not_a_formula(tmp_path, capsys):
@@ -74,12 +73,14 @@ def test_analyze_reads_a_partition_file(tmp_path, capsys):
                            "-p", str(partition_path))
     assert code == 0
     payload = json.loads(out)
+    assert payload["is_formula"] is True
     assert [(b["block"], b["s_j"], b["paths"]) for b in payload["blocks"]] == [
         ([1, 2], 2, 2), ([1], 1, 1), ([2], 1, 1)]
 
 
-@pytest.mark.parametrize("partition, unused", [("9\n", "[9]"), ("1 2\n0 2 -1\n", "[-1, 0]")],
-                         ids=["variable-nine", "zero-and-negative"])
+@pytest.mark.parametrize("partition, unused", [
+    ("9\n", "[9]"), ("1 2\n9\n", "[9]"), ("1 2\n0 2\n", "[0]"),
+], ids=["variable-nine", "variable-nine-after-a-good-block", "zero"])
 def test_analyze_rejects_a_partition_variable_the_circuit_does_not_use(
     tmp_path, capsys, partition, unused
 ):
@@ -100,6 +101,11 @@ def test_verify_lemmas_passes_and_is_deterministic(capsys):
     code, second, _ = run_cli(capsys, "verify-lemmas", "--seed", "7", "--cases", "60")
     assert code == 0
     assert first == second
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--json", "--cases", "200", "--seed", "7")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True and payload["cases"] == 200
+    assert len(payload["sweeps"]) == 4 and all(s["passed"] for s in payload["sweeps"])
 
 
 def test_simulate_reports_probability(tmp_path, capsys):
@@ -162,6 +168,32 @@ def test_evaluate_json_on_both_paths(tmp_path, capsys, sample):
     assert payload["status"] == expected
 
 
+def cone_without_x2():
+    """A non-formula whose light cone leaves out x2: x2's line 0 meets only
+    a gate outside the cone, its line 6 no gate at all; p = x1 xor x3."""
+    return build_circuit(
+        7, [variable(2), variable(1), variable(3), constant(0), variable(1), constant(0), variable(2)],
+        [((0, 5), CNOT), ((2, 3, 4), TOFFOLI), ((1, 2), CNOT), ((2, 3), CNOT), ((3, 4), SWAP), ((5,), H)],
+        output_qubit=4, arity_bound=3)
+
+
+@pytest.mark.parametrize("sample, table, status", [
+    (formula_example, [0, 0, 0, 0], "undetermined"),
+    (nonformula_example, [0, 0, 0, 0], "fails"),
+    (cone_without_x2, [0, 1, 0, 1, 1, 0, 1, 0], "computes"),
+], ids=["formula-all-zero", "nonformula-all-zero", "cone-without-x2-xor13"])
+def test_evaluate_status_on_the_sample_circuits(tmp_path, capsys, sample, table, status):
+    circuit = sample()
+    assert is_formula(circuit) == (sample is formula_example)
+    circuit_path, table_path = tmp_path / "c.json", tmp_path / "c.tt"
+    write_circuit(circuit, circuit_path)
+    write_truth_table(circuit.num_variables, table, table_path)
+    code, out, _ = run_cli(capsys, "evaluate", "--json", "-c", str(circuit_path),
+                           "-f", str(table_path))
+    assert code == 0
+    assert json.loads(out)["status"] == status
+
+
 def test_evaluate_rejects_truth_table_with_trailing_text(tmp_path, capsys):
     from qformula.samples import toffoli_and_circuit
 
@@ -188,6 +220,8 @@ def test_squeeze_cli_roundtrip(tmp_path, capsys):
     assert payload["squeezed_gate_count"] <= payload["gate_bound"]
     back = read_circuit(target)
     assert back.check().arity_bound == 6
+    # the writer's bytes are exactly json.dumps of the dict form, plus a newline
+    assert target.read_bytes() == (json.dumps(circuit_to_json(back)) + "\n").encode()
 
 
 def test_bounds_subcommands(capsys):
@@ -307,18 +341,14 @@ def test_invalid_circuit_exits_1(tmp_path, capsys):
     assert "non-unitary" in err
 
 
-def test_overflowing_matrix_exits_1_without_a_numpy_warning(tmp_path):
+def test_overflowing_matrix_exits_1_without_a_numpy_warning(tmp_path, run_child):
     path = tmp_path / "huge.json"
     path.write_text(
         '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0,'
         ' "gates": [{"step": 1, "targets": [0],'
         ' "matrix": [[1e308, 0], [1e308, 0], [1e308, 0], [-1e308, 0]]}]}'
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(qformula.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "qformula.cli", "analyze", "-c", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_child("-m", "qformula.cli", "analyze", "-c", str(path), timeout=60)
     assert done.returncode == 1
     assert "non-unitary" in done.stderr and "deviation inf" in done.stderr
     assert "RuntimeWarning" not in done.stderr
@@ -523,6 +553,7 @@ def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol)
     (["--block=1", "--rho=2=0,2=1"], 64, "--rho: variable 2 is assigned twice"),
     (["--block=1", "--rho=2=1,1=0"], 1, "only outside variables of the formula; got [1]"),
     (["--block=1", "--rho=2=1,9=1"], 1, "only outside variables of the formula; got [9]"),
+    (["--block=1", "--rho=2=0,9=1"], 1, "only outside variables of the formula; got [9]"),
     (["--block="], 64, "--block: must name at least one variable"),
     (["--block=9", "--rho=1=0,2=1"], 1, "block names variables the formula does not use: [9]"),
     (["--block=0,1", "--rho=2=1"], 1, "block names variables the formula does not use: [0]"),
@@ -532,7 +563,8 @@ def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol)
     (["--block=1", "--rho=2=1=0"], 64, "--rho: each item must be VAR=BIT, got '2=1=0'"),
     (["--block=1", "--rho=2=2"], 64, "--rho: each item must be VAR=BIT, got '2=2'"),
     (["--block=1", "--rho=2=-1"], 64, "--rho: each item must be VAR=BIT, got '2=-1'"),
-], ids=["repeated-variable", "block-variable", "unknown-variable", "empty-block",
+], ids=["repeated-variable", "block-variable", "unknown-variable", "unknown-variable-2-is-0",
+        "empty-block",
         "unused-block-variable", "block-variable-zero", "non-integer-block", "rho-without-bit",
         "non-integer-bit", "rho-with-two-bits", "bit-two", "bit-minus-one"])
 def test_squeeze_rejects_a_malformed_block_or_restriction(tmp_path, capsys, options, code, message):
@@ -578,23 +610,20 @@ def stitched_formula(s):
                          arity_bound=max(m.formula.arity_bound for m in corpus))
 
 
-def test_squeeze_past_the_line_cap_exits_1_without_a_traceback(tmp_path):
+def test_squeeze_past_the_line_cap_exits_1_without_a_traceback(tmp_path, run_child):
     c = stitched_formula(0)
     assert c.num_qubits > 24 and is_formula(c)
     path = tmp_path / "stitched.json"
     write_circuit(c, path)
     # one segment has 23 companion lines: its 25-line register would take
     # 2 GiB, so the cap check must come first (the address space is capped
-    # at 2 GB so that a missing check fails the test, not the host)
-    env = {**os.environ, "PYTHONPATH": str(Path(qformula.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "qformula.cli", "squeeze", "--no-verify", "-c", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9)),
-    )
+    # so that a missing check fails the test, not the host)
+    done = run_child("-m", "qformula.cli", "squeeze", "--no-verify", "-c", str(path),
+                     timeout=120, cap_memory=True)
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr.startswith("error: ") and "exceeds the simulation cap 20" in done.stderr
-    assert "Traceback" not in done.stderr
+    # the message names the segment: the circuit has 25 lines too
+    assert done.stderr == ("error: segment at steps 1-29 with 23 companion lines: "
+                           "25 qubits exceeds the simulation cap 20\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -611,6 +640,24 @@ def test_bounds_at_gate_arity_a_trillion_finish_quickly(capsys, argv, code):
         assert _strict_json(out)["log2_binomial_form"] == pytest.approx(2 * 2e12, rel=1e-9)
     else:
         assert out == "" and err.startswith("error: ") and "past the float range" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["appendix", "-n", "1", "-N", "1", "-d", "600"], 1),
+    (["appendix", "-n", "1", "-N", "1", "-d", str(10 ** 12)], 1),
+    (["equiv", "-n", "1", "-N", "2", "-d", str(10 ** 12), "--json"], 0),
+    (["appendix", "-n", str(10 ** 12), "-N", str(10 ** 12), "-d", "1", "--json"], 0),
+], ids=["appendix-d-600", "appendix-d-trillion", "equiv-d-trillion", "appendix-n-trillion"])
+def test_bounds_far_past_the_float_range_end_cleanly_under_a_2_gb_cap(run_child, argv, code):
+    # at d = 600, t = 2 mu = 2^1201 has a log2 past the float range itself;
+    # at d = 10^12, mu = 2^(2d) N would be a 250 GB integer and C(2d, d) a
+    # sum of 10^12 terms; at n = 10^12, m = 2^(n+1) would be 125 GB
+    done = run_child("-m", "qformula.cli", "bounds", *argv, timeout=10, cap_memory=True)
+    assert done.returncode == code and "Traceback" not in done.stderr
+    if code:
+        assert done.stdout == "" and re.search("^error: ", done.stderr, re.MULTILINE)
+    else:
+        _strict_json(done.stdout)
 
 
 def test_appendix_output_is_pinned(capsys):

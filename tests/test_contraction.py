@@ -8,14 +8,12 @@ per-assignment ``run`` scan.
 import itertools
 import json
 import os
-import subprocess
-import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qformula
 from qformula import (
     Gate,
     build_circuit,
@@ -29,8 +27,11 @@ from qformula import (
     run,
     squeeze_all,
     variable,
+    write_circuit,
+    write_truth_table,
 )
 from qformula import simulator
+from qformula.cli import main
 from qformula.gates import CNOT, H, SWAP, TOFFOLI, capped_matmul, random_unitary
 from qformula.samples import formula_example, nonformula_example, toffoli_and_circuit
 from qformula.simulator import (
@@ -350,6 +351,8 @@ def test_kernel_with_scratch_is_bit_identical(monkeypatch, sliced):
         assert np.array_equal(_apply(buffer, gate, buffer, scratch), expected)
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 # prints OpenBLAS's own thread count (None without the symbol) and the cap
 _CAP_PROBE = """
 import ctypes, json, os, sys
@@ -369,20 +372,62 @@ print(json.dumps([count and count(), gates.BLAS_SLICE_MACS]))
 @pytest.mark.parametrize("setting", [
     {}, {"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "one-cpu",
 ], ids=["unset", "omp-1", "openblas-2-omp-1", "one-cpu"])
-def test_products_are_sliced_exactly_when_openblas_may_thread(setting):
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(qformula.__file__).parents[1])
-    argv = [sys.executable, "-c", _CAP_PROBE]
+def test_products_are_sliced_exactly_when_openblas_may_thread(setting, run_child):
+    env = dict.fromkeys(BLAS_THREAD_VARIABLES)
+    args = ["-c", _CAP_PROBE]
     if setting == "one-cpu":
-        argv.append(setting)
+        args.append(setting)
     else:
         env.update(setting)
-    count, cap = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True,
-                                           check=True).stdout)
+    done = run_child(*args, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    count, cap = json.loads(done.stdout)
     if count is None:
         pytest.skip("numpy's BLAS is not scipy-openblas")
     assert (cap is not None) == (count > 1)
+
+
+@pytest.fixture(scope="module")
+def wide_circuit_failing_at_700():
+    """30 random 2-qubit gates on 12 lines, then their inverses: p is x1's
+    bit, and the table disagrees with it only at assignment 700.  Returns
+    the circuit, the table and the oracle's verdict."""
+    rng = np.random.default_rng(7)
+    gates = [(tuple(int(q) for q in rng.choice(12, size=2, replace=False)), random_unitary(4, rng))
+             for _ in range(30)]
+    gates += [(targets, u.conj().T) for targets, u in reversed(gates)]
+    c = build_circuit(12, [variable(j + 1) for j in range(10)] + [constant(0), constant(1)],
+                      gates, output_qubit=0)
+    assert not is_formula(c)
+    bits = np.arange(1024) >> 9
+    bits[700] ^= 1
+    return c, bits, verdict(probability_vector(c), bits)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["blas-unpinned", "openblas-one-thread"])
+def test_wide_evaluate_gives_the_oracles_verdict_whatever_the_blas_threads(
+    tmp_path, run_child, wide_circuit_failing_at_700, pinned
+):
+    c, bits, oracle = wide_circuit_failing_at_700
+    write_circuit(c, tmp_path / "wide.json")
+    write_truth_table(10, bits, tmp_path / "wide.tt")
+    env = dict.fromkeys(BLAS_THREAD_VARIABLES)
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    # products above 2^15 multiply-adds go to BLAS as column slices; on one
+    # BLAS thread, pinned or with one CPU to run on, every product goes whole
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cap = None if pinned or cpus == 1 else 2 ** 15
+    probe = run_child("-c", "from qformula import gates; print(gates.BLAS_SLICE_MACS)",
+                      env=env, timeout=60)
+    assert probe.stdout == f"{cap}\n", probe.stderr
+    done = run_child("-m", "qformula.cli", "evaluate", "--json", "-c", str(tmp_path / "wide.json"),
+                     "-f", str(tmp_path / "wide.tt"), env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert (got["status"], got["alpha"]) == (oracle.status, "".join(map(str, oracle.alpha)))
+    assert abs(got["p"] - oracle.p) <= TOL
+    assert (got["status"], got["alpha"]) == ("fails", format(700, "010b"))
 
 
 def counted_batches(monkeypatch):
@@ -608,6 +653,42 @@ FOLD_CASES = {
 BRANCHING = {"every-variable-branches": 0, "some-branch": 1, "none-branches": 20}
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_pruned_path_and_qf_evaluate_match_the_oracle_on_near_permutation_circuits(
+    tmp_path, capsys, seed
+):
+    """A seeded non-formula on 12 lines: 8 variables on 10 lines (two of
+    them on two lines each) and two constants, with near-permutation gates
+    so that every p is far from the thresholds; the table is wrong at one
+    assignment."""
+    rng = np.random.default_rng(seed)
+    labels = [variable(j % 8 + 1) for j in range(10)] + [constant(0), constant(1)]
+    rng.shuffle(labels)
+    gates = []
+    for _ in range(40):  # a 2-qubit permutation times exp(i eps H), eps = 0.1 / 40
+        h = random_unitary(4, rng)
+        w, v = np.linalg.eigh(h + h.conj().T)
+        near = (v * np.exp(0.0025j * w / np.max(np.abs(w)))) @ v.conj().T
+        gates.append((tuple(int(q) for q in rng.choice(12, size=2, replace=False)),
+                      np.eye(4)[rng.permutation(4)] @ near))
+    c = build_circuit(12, labels, gates, output_qubit=int(rng.integers(12)))
+    assert not is_formula(c)
+    p = probability_vector(c)
+    assert np.max(np.abs(_probabilities(c, _fused_schedule(c)) - p)) <= TOL
+    table = (p > 0.5).astype(int)
+    table[int(rng.integers(256))] ^= 1
+    write_circuit(c, tmp_path / "pruned.json")
+    write_truth_table(8, table, tmp_path / "pruned.tt")
+    code = main(["evaluate", "--json", "-c", str(tmp_path / "pruned.json"),
+                 "-f", str(tmp_path / "pruned.tt")])
+    got, oracle = json.loads(capsys.readouterr().out), verdict(p, table)
+    assert code == 0
+    alpha = None if oracle.alpha is None else "".join(map(str, oracle.alpha))
+    assert (got["status"], got.get("alpha")) == (oracle.status, alpha)
+    if oracle.p is not None:
+        assert abs(got["p"] - oracle.p) <= TOL
+
+
 def plan_budget(circuit, batch_variables):
     """A ``CHUNK_AMPLITUDES`` that makes that many cone variables batch axes."""
     cone, _ = _cone(circuit, _fused_schedule(circuit))
@@ -706,6 +787,28 @@ def test_evaluate_matches_run_scan_on_general_circuits():
         table = (p > 0.5).astype(int)
         assert_same_verdict(circuit, table)
         assert_same_verdict(circuit, 1 - table)
+
+
+def perfbench_reference():
+    """The benchmark's independent generator, read from its source so that
+    nothing is written under ``perfbench/``."""
+    path = Path(__file__).parents[1] / "perfbench" / "reference.py"
+    module = types.ModuleType("perfbench_reference")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_a_64_line_formula_evaluates_by_contraction(tmp_path, capsys):
+    # 64 lines, 14 variables, 138 gates in a tree: only the contraction can evaluate it
+    reference = perfbench_reference()
+    circ, table = reference.permutation_circuit(np.random.default_rng(0), 64, 14, 138, tree=True)
+    assert reference.is_tree(circ)
+    reference.write_json(circ, tmp_path / "formula64.json")
+    (tmp_path / "formula64.tt").write_text(f"14\n{''.join(str(int(b)) for b in table)}\n")
+    code = main(["evaluate", "--json", "-c", str(tmp_path / "formula64.json"),
+                 "-f", str(tmp_path / "formula64.tt")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "computes"
 
 
 def test_formula_past_the_line_cap_evaluates_by_contraction():

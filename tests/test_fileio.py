@@ -95,14 +95,18 @@ def test_missing_field_diagnostics(tmp_path):
         read_circuit(path)
 
 
-def test_bad_matrix_length_names_the_gate(tmp_path):
+@pytest.mark.parametrize("arity", [1, 20_000])
+def test_bad_matrix_length_names_the_gate(tmp_path, arity):
+    # 4^20000 has 12042 digits: it is named as a power, never built
     path = tmp_path / "badmat.json"
     path.write_text(
         '{"num_qubits": 1, "labels": [{"var": 1}], "output_qubit": 0,'
-        ' "gates": [{"step": 1, "targets": [0], "matrix": [[1, 0]]}]}'
+        f' "gates": [{{"step": 1, "targets": {[0] * arity}, "matrix": [[1, 0]]}}]}}'
     )
-    with pytest.raises(FormatError, match=r"gates\[0\]"):
+    with pytest.raises(FormatError) as err:
         read_circuit(path)
+    assert str(err.value) == (
+        f"{path}: gates[0]: matrix must have 4^{arity} entries for {arity} targets, got 1")
 
 
 def test_bad_label_is_rejected(tmp_path):
@@ -321,8 +325,48 @@ def test_truth_table_round_trip(tmp_path):
 def test_truth_table_length_mismatch(tmp_path):
     path = tmp_path / "bad.tt"
     path.write_text("2\n010\n")
-    with pytest.raises(FormatError, match="expected 4 bits"):
+    with pytest.raises(FormatError, match=r"expected 2\^2 bits for n=2, got 3"):
         read_truth_table(path)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("t.tt", "0_1\n01\n", ": the variable count must be ASCII decimal digits, got '0_1'"),
+    ("t.tt", "+1\n01\n", ": the variable count must be ASCII decimal digits, got '+1'"),
+    ("t.tt", "-1\n01\n", ": the variable count must be ASCII decimal digits, got '-1'"),
+    ("t.tt", "\u0661\n01\n", ": the variable count must be ASCII decimal digits, got '\u0661'"),
+    ("t.tt", "20000\n0110\n", ": expected 2^20000 bits for n=20000, got 4"),
+    ("t.tt", "9" * 5000 + "\n01\n", ": the variable count has 5000 digits, too many to read"),
+    ("p.part", "1 +1\n", ":1: a variable index must be ASCII decimal digits, got '+1'"),
+    ("p.part", "1 2\n0 2 -1\n", ":2: a variable index must be ASCII decimal digits, got '-1'"),
+    ("p.part", "1_0\n", ":1: a variable index must be ASCII decimal digits, got '1_0'"),
+], ids=["underscore", "plus", "minus", "arabic-indic-digit", "count-20000", "5000-digits",
+        "index-plus", "index-minus", "index-underscore"])
+def test_counts_and_indices_are_ascii_decimal_digits(tmp_path, name, text, message):
+    # int() takes signs, underscores and other scripts' digits, and the
+    # message once spelt out 2^20000 until int-to-text conversion refused
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        (read_truth_table if name.endswith(".tt") else read_partition)(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("command, option, name", [
+    ("evaluate", "-c", "two_path.json"), ("nechiporuk", "-p", "one.part"),
+])
+def test_a_trillion_variable_count_is_rejected_without_building_2_to_the_n(
+    tmp_path, run_child, command, option, name
+):
+    # computing 2^(10^12) once hung both commands; the cap makes a
+    # regression fail here rather than exhaust the host
+    write_circuit(two_path_example(), tmp_path / "two_path.json")
+    (tmp_path / "one.part").write_text("1\n")
+    table = tmp_path / "huge.tt"
+    table.write_text(f"{10 ** 12}\n0110\n")
+    done = run_child("-m", "qformula.cli", command, option, str(tmp_path / name), "-f", str(table),
+                     timeout=20, cap_memory=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {table}: expected 2^{10 ** 12} bits for n={10 ** 12}, got 4\n"
 
 
 @pytest.mark.parametrize(
