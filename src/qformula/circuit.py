@@ -189,9 +189,10 @@ class Circuit(Record):
     output_qubit: int
     arity_bound: int = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __init__(self, num_qubits: int, labels: Iterable[InputLabel], gates: Iterable[Gate],
+                 output_qubit: int, arity_bound: int = 2):
+        self.__dict__.update(num_qubits=num_qubits, labels=tuple(labels), gates=tuple(gates),
+                             output_qubit=output_qubit, arity_bound=arity_bound)
 
     @property
     def num_variables(self) -> int:

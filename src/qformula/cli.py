@@ -59,14 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """The argparse type of a ``kind`` integer, at least ``low``: else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -441,8 +444,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--arity", type=int, default=2)
 
     p = add("verify-lemmas", _cmd_verify_lemmas, help="run the property sweeps")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cases", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=7)
+    p.add_argument("--cases", type=_int_at_least(1, "positive"), default=1000)
     return parser
 
 

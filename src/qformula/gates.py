@@ -68,9 +68,16 @@ NAMED_GATES: dict[str, np.ndarray] = {
 }
 
 
+def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """``rng.normal(size=shape) + 1j * rng.normal(size=shape)``, bit for bit, in one array."""
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.normal(size=shape), rng.normal(size=shape)
+    return z
+
+
 def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The complex Gaussian matrix ``random_unitary`` draws and completes."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return complex_normal((dim, dim), rng)
 
 
 def complete_unitaries(gaussians: Sequence[np.ndarray]) -> list[np.ndarray]:

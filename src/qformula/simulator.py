@@ -713,13 +713,13 @@ def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
     return verdict(p, bits)
 
 
-def _operator(gates, m: int) -> np.ndarray:
-    """The 2^m x 2^m operator of ``gates`` in order: the kernel on the identity."""
+def _operator(gates, m: int, start: np.ndarray | None = None) -> np.ndarray:
+    """The 2^m x 2^m operator of ``gates`` in order after ``start`` (default the identity)."""
     dim = 2 ** m
-    eye = np.eye(dim, dtype=complex)
-    u = eye.reshape([2] * m + [dim])
+    buffer = np.eye(dim, dtype=complex) if start is None else start.copy()
+    u = buffer.reshape([2] * m + [dim])
     for gate in gates:
-        u = _apply(u, gate, eye)
+        u = _apply(u, gate, buffer)
     return u.reshape(dim, dim)
 
 

@@ -536,6 +536,17 @@ def test_verify_lemmas_without_cases_is_a_usage_error(capsys, cases):
     assert "--cases: must be a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-1000000"])
+def test_verify_lemmas_with_a_negative_seed_is_a_usage_error(capsys, seed):
+    # numpy's own refusal used to exit 1 without naming the option
+    with pytest.raises(SystemExit) as err:
+        main(["verify-lemmas", "--json", "--cases", "2", "--seed", seed])
+    assert err.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--seed: must be a non-negative integer, got '{seed}'" in captured.err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
 def test_squeeze_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
     # deviation > nan is never true: --tol nan used to turn verification off

@@ -270,3 +270,18 @@ def test_hot_records_take_positional_and_keyword_arguments():
     for cls, args in [(Gate, (1, (0,))), (InputLabel, (1, 0, 0)), (Hop, (g, 0))]:
         with pytest.raises(TypeError):
             cls(*args)
+
+
+def test_circuit_takes_any_sequences_and_keeps_the_generic_type_errors():
+    labels, gates = [variable(1), constant(0)], [Gate(1, (0, 1), CNOT)]
+    circuit = Circuit(2, labels, gates, 0)
+    assert type(circuit.labels) is tuple and circuit.labels == tuple(labels)
+    assert type(circuit.gates) is tuple and circuit.gates[0] is gates[0]
+    assert circuit == Circuit(num_qubits=2, labels=iter(labels), gates=iter(gates),
+                              output_qubit=0, arity_bound=2)
+    assert type(dataclasses.replace(circuit, gates=gates).gates) is tuple
+    too_many, known = (2, labels, gates, 0, 2, None), (2, labels, gates, 0)
+    for args, kwargs in [(too_many, {}), (known, {"unknown": 1}), (known, {"labels": labels}),
+                         ((2, labels), {}), ((), {"num_qubits": 2, "gates": gates, "output_qubit": 0})]:
+        with pytest.raises(TypeError):
+            Circuit(*args, **kwargs)
