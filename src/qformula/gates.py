@@ -14,19 +14,13 @@ import numpy as np
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
 
 CNOT = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],
      [0, 0, 0, 1],
      [0, 0, 1, 0]], dtype=complex)
-
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 SWAP = np.array(
     [[1, 0, 0, 0],
@@ -61,11 +55,6 @@ def _blas_may_thread() -> bool:
 # thread a whole call is fastest: a 32x32 block times 32x1024 columns ran
 # at 4.6 G complex multiply-adds/s in one call, 2.6-3.1 G as slices.
 BLAS_SLICE_MACS = 2 ** 15 if _blas_may_thread() else None
-
-NAMED_GATES: dict[str, np.ndarray] = {
-    "I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T,
-    "CNOT": CNOT, "CZ": CZ, "SWAP": SWAP, "TOFFOLI": TOFFOLI,
-}
 
 
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:

@@ -45,6 +45,7 @@ from .analysis import (
 )
 from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, Record, constant, variable
 from .simulator import SimulationError, _require_cap, final_states, probability_vector
+from .tensor import orthonormalize
 
 RECONSTRUCTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -146,13 +147,14 @@ class SqueezeRecord(Record):
     ``vectors[a0, a1, c0, c1]`` is the companion-register state produced
     by running the companion preparation plus the segment's inner gates
     from head inputs |a0>|a1>, decomposed on the two head lines.
-    ``basis`` holds their leading right singular vectors (rank 1..16),
-    phased so each one's largest entry (the first on ties) is real and
-    positive; ``coefficients`` holds the expansion <basis_j|vector>,
-    indexed [a0, a1, c0, c1, j].  ``prep_steps`` and ``postponed_steps``
-    are the steps of the two gate lists that ``postpone`` returns: the
-    postponed gates touch no line the segment still needs, move behind
-    it, and are dropped by the rewrite together with the companion lines.
+    ``basis`` and ``coefficients`` are what ``tensor.orthonormalize``
+    returns for the 16 vectors: orthonormal rows (rank 1..16), each one's
+    largest entry (the first on ties) real and positive, and the
+    expansion <basis_j|vector>, indexed [a0, a1, c0, c1, j].
+    ``prep_steps`` and ``postponed_steps`` are the steps of the two gate
+    lists that ``postpone`` returns: the postponed gates touch no line the
+    segment still needs, move behind it, and are dropped by the rewrite
+    together with the companion lines.
     """
 
     segment: PathSegment
@@ -241,8 +243,7 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
     Runs the companion preparation plus the segment's inner gates from
     the four basis inputs on the two head lines as one batch (companion
     lines start at their constant labels), splits the results on the head
-    lines, and factors the 16 companion vectors by one SVD (the rank
-    counts singular values above ``DEFAULT_RANK_TOL`` times the largest).
+    lines, and factors the 16 companion vectors by ``tensor.orthonormalize``.
     The expansion is verified to reconstruct the vectors within 1e-10 and
     to be an isometry on the four inputs.  Raises SimulationError, naming
     the segment's steps and v, when the 2 + v local lines exceed the
@@ -277,16 +278,9 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
         raise SimulationError(f"segment at steps {cs.j0}-{cs.j1} with {v} companion lines: {exc}") from None
     vectors = np.moveaxis(final_states(local_circuit, 0, 4), -1, 0).reshape(2, 2, 2, 2, 2 ** v)
 
-    flat = vectors.reshape(16, 2 ** v)
-    # one SVD gives the rank, the basis, the coefficients and the margin
-    left, sing, right = np.linalg.svd(flat, full_matrices=False)
-    threshold = DEFAULT_RANK_TOL * sing[0]
-    rank = int(np.count_nonzero(sing > threshold))  # rank 0 fails a check below
-    # each basis vector's largest entry (the first on ties) is real and positive
-    peaks = right[np.arange(rank), np.argmax(np.abs(right[:rank]), axis=1)]
-    phases = peaks / np.abs(peaks)
-    basis = right[:rank] * phases.conj()[:, None]
-    coeffs = (left[:, :rank] * (sing[:rank] * phases)).reshape(2, 2, 2, 2, rank)
+    basis, coeffs, sing = orthonormalize(vectors.reshape(16, 2 ** v))
+    rank = len(basis)  # rank 0 fails a check below
+    coeffs = coeffs.reshape(2, 2, 2, 2, rank)
 
     rebuilt = np.tensordot(coeffs, basis, axes=([4], [0]))
     residual = float(np.max(np.abs(rebuilt - vectors)))
@@ -296,6 +290,7 @@ def squeeze_path(circuit: Circuit, segment: PathSegment, companions: CompanionSe
     if float(np.max(np.abs(weights - 1.0))) > RECONSTRUCTION_TOL:
         raise NumericalError("expansion is not an isometry on the head inputs")
 
+    threshold = DEFAULT_RANK_TOL * sing[0]
     borderline = bool(np.any((sing > threshold / 10) & (sing < threshold * 10)))
 
     return SqueezeRecord(

@@ -4,7 +4,8 @@ The norm and inner-product factorization of tensor products (and the
 orthonormality of product families built from orthonormal factors) are
 the algebraic backbone of the squeezing rewrite; these helpers keep the
 conventions in one place and are exercised by randomized identity sweeps
-at tolerance 1e-12.
+at tolerance 1e-12.  ``orthonormalize`` is the rewrite's basis rule, one
+SVD, and the product-family sweep builds its families with it.
 """
 from __future__ import annotations
 
@@ -50,35 +51,29 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
-def orthonormalize(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Orthonormal basis of span(vectors) by modified Gram-Schmidt.
+def orthonormalize(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis of span(vectors) from one SVD of their stack,
+    each vector taken flat: the squeezing rewrite's basis rule.
 
-    Residuals below ``DEFAULT_RANK_TOL`` times the stacked input's
-    spectral norm are treated as zero, so the returned dimension is the
-    numerical rank at that threshold.  An all-zero input yields an empty
-    basis.  The tests cross-check it against the squeezing rewrite's SVD rank.
+    The rank counts singular values above ``DEFAULT_RANK_TOL`` times the
+    largest.  The basis rows are the leading right singular vectors, each
+    phased so its largest entry (the first on ties) is real and positive.
+    Returns the basis rows, the coefficients (``vectors = coefficients @
+    basis``, one row per vector) and every singular value, largest first.
+    An all-zero input yields an empty basis.
     """
     if len(vectors) == 0:
         raise ValueError("orthonormalize requires a nonempty vector list")
-    rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if len({r.size for r in rows}) > 1:
-        raise DimensionError("vectors must share one dimension")
-    stacked = np.array(rows)
-    scale = float(np.linalg.svd(stacked, compute_uv=False)[0])  # the spectral norm
-    if scale == 0.0:
-        return [], 0
-    threshold = DEFAULT_RANK_TOL * scale
-    basis: list[np.ndarray] = []
-    for w in stacked:  # each row is reduced in place
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        # second pass guards against cancellation in nearly dependent sets
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        length = norm(w)
-        if length > threshold:
-            basis.append(w / length)
-    return basis, len(basis)
+    try:
+        stacked = np.asarray(vectors, dtype=complex)
+    except ValueError:  # numpy refuses a ragged stack
+        raise DimensionError("vectors must share one dimension") from None
+    left, sing, right = np.linalg.svd(stacked.reshape(len(stacked), -1), full_matrices=False)
+    rank = int(np.count_nonzero(sing > DEFAULT_RANK_TOL * sing[0]))
+    rows = right[:rank]
+    peaks = rows[np.arange(rank), abs(rows).argmax(axis=1)]
+    phases = peaks / abs(peaks)
+    return rows * phases.conj()[:, None], left[:, :rank] * (sing[:rank] * phases), sing
 
 
 def expansion_coefficients(

@@ -4,8 +4,9 @@ Four suites, each running a configurable number of seeded cases:
 
 * tensor factorization: norms and inner products of tensor products
   factor exactly (tolerance 1e-12);
-* product families: tensor products of two orthonormal families stay
-  orthonormal, their Gram matrix taken as one product (1e-12);
+* product families: tensor products of two orthonormal families, each
+  from ``tensor.orthonormalize`` (the basis rule ``squeeze_all`` runs),
+  stay orthonormal, their Gram matrix taken as one product (1e-12);
 * disjoint commuting split: a subcircuit over two disjoint qubit sets
   equals both sequential orders, on basis states and on random
   entangled inputs (1e-10);
@@ -28,6 +29,8 @@ The CLI exposes them as ``verify-lemmas``; the acceptance suite runs
 them at 1000 cases each.  A sweep needs at least one case.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -114,9 +117,10 @@ def _draw_families(rng: np.random.Generator, unitary):
     vectors_b = [_random_vector(rng, 2 ** kb) for _ in range(nb)]
 
     def check(unitaries):
-        family_a, _ = orthonormalize(vectors_a)
-        family_b, _ = orthonormalize(vectors_b)
-        products = np.array([kron(a, b) for a in family_a for b in family_b])
+        family_a, _, _ = orthonormalize(vectors_a)
+        family_b, _, _ = orthonormalize(vectors_b)
+        # product() takes each family's rows once; a nested loop re-slices the inner one
+        products = np.array([kron(a, b) for a, b in itertools.product(family_a, family_b)])
         gram = products.conj() @ products.T  # every inner_product at once
         return (float(np.abs(gram - np.eye(len(products))).max()),)
     return check

@@ -16,7 +16,6 @@ from qformula import (
     companion_set_of_path,
     is_formula,
     build_circuit,
-    orthonormalize,
     build_composite_gate,
     constant,
     decompose_disjoint,
@@ -498,18 +497,19 @@ def test_every_corpus_composite_is_unitary_and_keeps_its_columns(corpus):
     assert checked > 0
 
 
-def test_squeeze_path_rank_basis_and_margin_match_orthonormalize(corpus):
-    # squeeze_path takes rank, basis, coefficients and margin from one SVD;
-    # Gram-Schmidt (orthonormalize) cross-checks the rank and the span
+def test_squeeze_path_rank_basis_and_margin_match_numpy_oracles(corpus):
+    # squeeze_path takes rank, basis, coefficients and margin from
+    # orthonormalize's one SVD; numpy's matrix_rank and a projection check them
     for member in corpus:
         f_rho = restrict(member.formula, member.block, member.restriction)
         for record in squeeze_all(f_rho, verify=False).records:
             flat = record.vectors.reshape(16, -1)
-            basis, rank = orthonormalize(list(flat))
+            rank = np.linalg.matrix_rank(flat, tol=1e-9 * np.linalg.norm(flat, 2))
             assert rank == record.rank == len(record.basis)
-            gram_schmidt = np.array(basis)
-            projector = gram_schmidt.T @ gram_schmidt.conj()
-            assert np.max(np.abs(record.basis.T @ record.basis.conj() - projector)) <= 1e-12
+            assert np.max(np.abs(record.basis.conj() @ record.basis.T - np.eye(rank))) <= 1e-12
+            # the basis spans the vectors: projecting onto it loses nothing
+            projected = (flat @ record.basis.conj().T) @ record.basis
+            assert np.max(np.abs(projected - flat)) <= 1e-10
             # phase rule: the largest entry (the first within 1e-12 of it) is real and positive
             for row in record.basis:
                 mags = np.abs(row)
@@ -537,6 +537,8 @@ def test_borderline_rank_flags_a_singular_value_near_the_threshold(monkeypatch):
     # two_path_example's segments have smallest kept singular values 0.163
     # and 0.397 against largest 1.42 and 1.57: within 10x of 5% of the largest
     assert not any(r.borderline_rank for r in squeeze_all(two_path_example()).records)
+    # the rank rule reads the tolerance in tensor, the margin in rewrite
+    monkeypatch.setattr("qformula.tensor.DEFAULT_RANK_TOL", 0.05)
     monkeypatch.setattr("qformula.rewrite.DEFAULT_RANK_TOL", 0.05)
     records = squeeze_all(two_path_example(), verify=False).records
     assert [(r.rank, r.borderline_rank) for r in records] == [(4, True), (4, True)]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qformula import inner_product, kron, orthonormalize
+from qformula import inner_product, kron, orthonormalize, restrict, squeeze_all
 from qformula import tensor
 from qformula.tensor import DimensionError, expansion_coefficients
 
@@ -70,14 +70,16 @@ def test_inner_product_dim_mismatch():
 
 
 def test_orthonormalize_collinear_pair():
-    basis, dim = orthonormalize([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-    assert dim == 1
+    basis, coefficients, sing = orthonormalize([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
+    assert len(basis) == 1
     assert np.allclose(basis[0], [1, 0])
+    assert np.allclose(coefficients, [[1], [2]])
+    assert np.allclose(sing, [np.sqrt(5), 0])
 
 
 def test_orthonormalize_keeps_orthonormal_input():
-    basis, dim = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert dim == 2
+    basis, _, _ = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    assert len(basis) == 2
     assert np.allclose(np.abs(basis), np.eye(2))
 
 
@@ -85,16 +87,17 @@ def test_orthonormalize_rank_matches_svd_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         vectors = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(16)]
-        basis, dim = orthonormalize(vectors)
+        basis, _, _ = orthonormalize(vectors)
         oracle = np.linalg.matrix_rank(np.array(vectors), tol=1e-9)
-        assert dim == oracle <= 4
+        assert len(basis) == oracle <= 4
         gram = np.array([[inner_product(a, b) for b in basis] for a in basis])
-        assert np.max(np.abs(gram - np.eye(dim))) <= 1e-9
+        assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-9
 
 
 def test_orthonormalize_all_zero_input():
-    basis, dim = orthonormalize([np.zeros(4), np.zeros(4)])
-    assert dim == 0 and basis == []
+    basis, coefficients, sing = orthonormalize([np.zeros(4), np.zeros(4)])
+    assert basis.shape == (0, 4) and coefficients.shape == (2, 0)
+    assert not np.any(sing)
 
 
 def test_orthonormalize_empty_list_rejected():
@@ -102,12 +105,28 @@ def test_orthonormalize_empty_list_rejected():
         orthonormalize([])
 
 
+def test_orthonormalize_rejects_a_ragged_stack():
+    with pytest.raises(DimensionError):
+        orthonormalize([np.zeros(2), np.zeros(4)])
+
+
+def test_orthonormalize_drops_a_singular_value_at_the_rank_threshold():
+    # the second singular value is 1.27e-9, under 1e-9 times the largest (1.41)
+    # although the second vector leaves the first one's span by 1.8e-9
+    vectors = [np.array([1.0, 0.0]), np.array([1.0, 1.8e-9])]
+    basis, coefficients, sing = orthonormalize(vectors)
+    assert len(basis) == 1 == np.linalg.matrix_rank(np.array(vectors), tol=1e-9 * sing[0])
+    assert 1e-9 * sing[0] / 10 < sing[1] <= 1e-9 * sing[0]
+    assert np.max(np.abs(coefficients @ basis - np.array(vectors))) <= 1e-9
+
+
 def test_expansion_coefficients_are_inner_products_with_the_basis():
     rng = np.random.default_rng(8)
     vectors = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(5)]
-    basis, dim = orthonormalize(vectors[:3])
+    basis, expansion, _ = orthonormalize(vectors[:3])
     coefficients = expansion_coefficients(basis, vectors)
-    assert coefficients.shape == (dim, 5) == (3, 5)
+    assert coefficients.shape == (len(basis), 5) == (3, 5)
+    assert np.max(np.abs(coefficients[:, :3].T - expansion)) <= 1e-12
     assert coefficients[1, 4] == np.vdot(basis[1], vectors[4])
     # the first three vectors lie in the span, so the expansion rebuilds them
     rebuilt = coefficients.T @ np.array(basis)
@@ -126,25 +145,6 @@ def test_kron_equals_numpy_kron_bit_for_bit():
     assert np.array_equal(kron([1, 0], [0.5, 2]), np.kron([1, 0], [0.5, 2]).astype(complex))
 
 
-def _orthonormalize_with_numpy_norms(vectors, tol=1e-10):
-    """The modified Gram-Schmidt loop with numpy's norm wrapper: the spectral
-    norm from np.linalg.norm(., 2), each row's from np.linalg.norm."""
-    stacked = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-    scale = float(np.linalg.norm(stacked, 2))
-    if scale == 0.0:
-        return [], 0
-    basis = []
-    for w in stacked:
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        norm = float(np.linalg.norm(w))
-        if norm > tol * scale:
-            basis.append(w / norm)
-    return basis, len(basis)
-
-
 def _seeded_families():
     rng = np.random.default_rng(1414)
     for _ in range(200):
@@ -160,15 +160,35 @@ def _seeded_families():
     yield [np.array([1e-300, 1e-300j])]
 
 
-def test_orthonormalize_is_bit_identical_to_the_numpy_norm_loop():
-    ranks = set()
+def test_orthonormalize_rank_span_and_phases_on_seeded_families():
+    deficient = set()
     for vectors in _seeded_families():
-        basis, rank = orthonormalize([v.copy() for v in vectors])
-        expected, expected_rank = _orthonormalize_with_numpy_norms([v.copy() for v in vectors])
-        assert rank == expected_rank and len(basis) == rank
-        assert all(np.array_equal(b, e) for b, e in zip(basis, expected))
-        ranks.add(rank < len(vectors))
-    assert ranks == {True, False}  # some inputs were rank-deficient
+        stacked = np.array(vectors)
+        basis, coefficients, sing = orthonormalize(vectors)
+        rank = len(basis)
+        tol = 1e-9 * np.linalg.norm(stacked, 2)
+        assert rank == np.linalg.matrix_rank(stacked, tol=tol)
+        assert np.max(np.abs(sing - np.linalg.svd(stacked, compute_uv=False))) <= 1e-12 * sing[0]
+        assert np.max(np.abs(basis.conj() @ basis.T - np.eye(rank)), initial=0.0) <= 1e-12
+        assert np.max(np.abs(coefficients @ basis - stacked)) <= 1e-10
+        # phase rule: each row's largest entry, the first on ties, is real and positive
+        peaks = basis[np.arange(rank), np.argmax(np.abs(basis), axis=1)]
+        assert np.all(np.abs(peaks.imag) <= 1e-15) and np.all(peaks.real > 0)
+        deficient.add(rank < len(vectors))
+    assert deficient == {True, False}  # some inputs were rank-deficient
+
+
+def test_orthonormalize_is_the_squeeze_basis_rule(corpus):
+    # one rule: the squeeze's basis and coefficients are orthonormalize's, bit for bit
+    checked = 0
+    for member in corpus:
+        f_rho = restrict(member.formula, member.block, member.restriction)
+        for record in squeeze_all(f_rho, verify=False).records:
+            basis, coefficients, _ = orthonormalize(record.vectors.reshape(16, -1))
+            assert np.array_equal(basis, record.basis)
+            assert np.array_equal(coefficients.reshape(record.coefficients.shape), record.coefficients)
+            checked += 1
+    assert checked > 0
 
 
 def test_norm_is_bit_identical_to_numpy_norm():

@@ -67,8 +67,8 @@ def reference_product_family(cases, seed, gram=one_product_gram):
         ka, kb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         na = int(rng.integers(1, min(4, 2 ** ka) + 1))
         nb = int(rng.integers(1, min(4, 2 ** kb) + 1))
-        family_a, _ = orthonormalize([_random_vector(rng, 2 ** ka) for _ in range(na)])
-        family_b, _ = orthonormalize([_random_vector(rng, 2 ** kb) for _ in range(nb)])
+        family_a, _, _ = orthonormalize([_random_vector(rng, 2 ** ka) for _ in range(na)])
+        family_b, _, _ = orthonormalize([_random_vector(rng, 2 ** kb) for _ in range(nb)])
         products = [kron(a, b) for a in family_a for b in family_b]
         worst = max(worst, float(np.max(np.abs(gram(products) - np.eye(len(products))))))
     return worst
