@@ -55,6 +55,8 @@ class TruthTable(Record):
         return cls(n=n, bits=np.array(bits, dtype=np.uint8))
 
     def value(self, assignment: Sequence[int]) -> int:
+        if len(assignment) != self.n or any(b not in (0, 1) for b in assignment):
+            raise ValueError(f"assignment {tuple(assignment)} is not {self.n} bits of 0/1")
         idx = 0
         for b in assignment:
             idx = (idx << 1) | int(b)

@@ -46,7 +46,10 @@ Three paths push the assignments through in batches of at most
   gates outside the graph drop out.  Its message, U rho U^dagger traced
   down to the up-lines (those that go to its parent), is two products:
   U rho, then conj(U) times that, the trace being the sum over their
-  shared inner axis.  A k-qubit gate's message has at most 4^k entries.
+  shared inner axis.  Every array carries one axis per variable, size 2
+  for a variable on the lines below the gate and 1 for the rest, so a
+  k-qubit gate runs on 4^k entries per value of its own variables, not
+  of all n.  The root's p is broadcast over the variables it lacks.
 
 Both state vectors are capped at ``MAX_QUBITS`` lines: the step-order
 one counts all of the circuit's lines, the pruned one its cone's.
@@ -85,8 +88,7 @@ BOUNDARY_TOL = 1e-12
 # amplitudes a batch of assignments may hold, on every batched path: one
 # state array of either state vector (each with a scratch of the same
 # size), or everything a tree contraction keeps at once.  2^15 ran the
-# pruned path faster than 2^13 or 2^14 at 12 lines, the contraction about
-# 2.5x faster than 2^13 on a 64-line formula; 2^16 held 1.5 MB more at peak.
+# pruned path faster than 2^13 or 2^14 at 12 lines; 2^16 held 1.5 MB more.
 CHUNK_AMPLITUDES = 2 ** 15
 # lines a fused block of the pruned state vector may act on: a k-line
 # block costs 2^(k+1) real multiply-adds per entry, against 2^(a+1) for
@@ -193,11 +195,15 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate to a 2^m-amplitude state, as the identity off its targets."""
     state = np.asarray(state, dtype=complex)
     num_qubits = int(state.size).bit_length() - 1
+    if not state.size:
+        raise SimulationError("state is empty")
     if state.size != 2 ** num_qubits:
         raise SimulationError(f"state size {state.size} is not 2^{num_qubits}")
     k = gate.arity
     if any(not (0 <= q < num_qubits) for q in gate.targets):
         raise SimulationError(f"gate targets {gate.targets} exceed {num_qubits} qubits")
+    if len(set(gate.targets)) != k:
+        raise SimulationError(f"gate targets {gate.targets} repeat a line")
     if gate.matrix.shape != (2 ** k, 2 ** k):
         raise SimulationError(f"matrix shape {gate.matrix.shape} for {k} targets")
     return _apply(state.reshape([2] * num_qubits), gate).reshape(-1)
@@ -585,45 +591,43 @@ def _schedule(circuit: Circuit) -> tuple[_Node, ...]:
 def contract_formula(circuit: Circuit) -> np.ndarray:
     """p1 for every assignment of a formula, by bottom-up tree contraction.
 
-    Indexed like ``probability_vector``; there is no line cap.  The
-    assignments go through in batches that hold at most
-    ``CHUNK_AMPLITUDES`` entries at any time (pending messages, plus the
-    current gate's rho and U rho, or U rho and its message), and the
-    trace of every root message is checked.  Raises NotAFormulaError on a
-    non-formula.
+    Indexed like ``probability_vector``; there is no line cap.  The scan
+    runs in slices that fix x1..x_{n-f}, with the largest f for which 2^f
+    times the entries held at once per assignment (pending messages, plus
+    the current gate's rho and U rho, or U rho and its message) fits
+    ``CHUNK_AMPLITUDES``.  Every root trace is checked.  Raises
+    NotAFormulaError on a non-formula.
     """
     circuit.check()
     nodes = _schedule(circuit)
     n = circuit.num_variables
-    if not nodes:
-        # no gate touches the output line: p is its input bit
-        return _line_values(circuit, 0, 2 ** n)[circuit.output_qubit].astype(float)
-    pending = peak = 0
+    pending, peak = 0, 4  # entries per assignment; an untouched output line's message has 4
     for node in nodes:
         peak = max(peak, pending + 2 * len(node.matrix) ** 2)
         pending += len(node.adjoint) ** 2 - sum(len(nodes[c].adjoint) ** 2 for c in node.children)
-    batch = max(1, CHUNK_AMPLITUDES // peak)
+    free = min(n, max(1, CHUNK_AMPLITUDES // peak).bit_length() - 1)
     out = np.empty(2 ** n)
-    for lo in range(0, 2 ** n, batch):
-        hi = min(lo + batch, 2 ** n)
-        values = _line_values(circuit, lo, hi)
-        messages: list[np.ndarray | None] = []
-        for node in nodes:
-            operands = [messages[c] for c in node.children]
-            for q in node.bare:
-                operands += [_BASIS[values[q]].T] * 2
-            for c in node.children:
-                messages[c] = None  # consumed
-            rho = np.einsum(node.build, *operands).reshape(len(node.matrix), -1)
-            left = capped_matmul(node.matrix, rho)
-            del rho  # released before the second product
-            up = len(node.adjoint)
-            message = capped_matmul(node.adjoint, left.reshape(up, -1, hi - lo))
-            del left  # and U rho before the next node's
-            messages.append(message.reshape((2,) * 2 * (up.bit_length() - 1) + (hi - lo,)))
-        root = messages[-1]
+    slot = [lb.const if lb.var is None else 1 + lb.var for lb in circuit.labels]
+    for lo in range(0, 2 ** n, 2 ** free):
+        # a line's basis state at its slot: |0>, |1>, then x_v's, on v's axis if free
+        states = [_BASIS[b].reshape((2,) + (1,) * n) for b in (0, 1)]
+        states += [_BASIS.reshape((2,) + (1,) * j + (2,) + (1,) * (n - 1 - j)) if j >= n - free
+                   else states[b] for j, b in enumerate(_alpha(lo, n))]
+        messages: dict[int, np.ndarray] = {}  # by node, until its parent consumes it
+        for i, node in enumerate(nodes):
+            operands = [messages.pop(c) for c in node.children]
+            operands += [states[slot[q]] for q in node.bare for _ in range(2)]  # rows, columns
+            # rho, then U rho, then the message: each replaces the one before
+            work = np.einsum(node.build, *operands)
+            shape = work.shape[work.ndim - n:]  # the variable axes, size 2 where free below
+            work = capped_matmul(node.matrix, work.reshape(len(node.matrix), -1))
+            work = capped_matmul(node.adjoint, work.reshape(*node.adjoint.shape, -1))
+            messages[i] = work.reshape((2,) * 2 * (len(work).bit_length() - 1) + shape)
+        root = messages[len(nodes) - 1] if nodes else np.einsum(
+            "a...,b...->ab...", *[states[slot[circuit.output_qubit]]] * 2)
+        root = np.broadcast_to(root, (2, 2) + (1,) * (n - free) + (2,) * free).reshape(2, 2, -1)
         _check_drift((root[0, 0] + root[1, 1]).real, lo, n, "root trace")
-        out[lo:hi] = root[1, 1].real
+        out[lo:lo + 2 ** free] = root[1, 1].real
     return out
 
 

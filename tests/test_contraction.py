@@ -32,6 +32,7 @@ from qformula import (
 )
 from qformula import simulator
 from qformula.cli import main
+from qformula.fileio import circuit_from_json
 from qformula.gates import CNOT, H, SWAP, TOFFOLI, capped_matmul, random_unitary
 from qformula.samples import formula_example, nonformula_example, toffoli_and_circuit
 from qformula.simulator import (
@@ -187,9 +188,25 @@ def test_contraction_chunks_agree(monkeypatch):
     rng = np.random.default_rng(8)
     c, _ = permutation_formula(rng, 10, 5)
     whole = contract_formula(c)
-    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 16)  # one assignment per batch
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 16)  # one assignment per slice
     assert np.max(np.abs(contract_formula(c) - whole)) <= TOL
     assert np.max(np.abs(whole - run_probabilities(c))) <= TOL
+
+
+def contraction_products(monkeypatch):
+    """Record (entries of the operand, entries of the result) of every
+    product the simulator hands ``capped_matmul``, the gate's matrix
+    aside, the way ``kernel_calls`` records the pruned path's blocks."""
+    calls = []
+    real = simulator.capped_matmul
+
+    def counting(matrix, flat, out=None):
+        result = real(matrix, flat, out)
+        calls.append((flat.size, result.size))
+        return result
+
+    monkeypatch.setattr(simulator, "capped_matmul", counting)
+    return calls
 
 
 @pytest.mark.parametrize("budget", [16, 2 ** 8, 2 ** 15])
@@ -206,17 +223,64 @@ def test_contraction_matches_the_oracle_at_every_budget(monkeypatch, corpus, bud
         3, [variable(1), variable(2), variable(3)],
         [((0, 1), u()), ((1, 0), u()), ((2, 0), u())], output_qubit=2,
     )
+    # x1 is on lines in both subtrees of the root
+    shared_variable = build_circuit(
+        4, [variable(1), variable(2), variable(1), variable(3)],
+        [((0, 1), u()), ((2, 3), u()), ((1, 3), u())], output_qubit=3,
+    )
+    # the gate on lines 0 and 1, a subtree of the root, reads constants only
+    constant_subtree = build_circuit(
+        5, [constant(1), constant(0), variable(1), variable(2), variable(3)],
+        [((0, 1), u()), ((2, 3), u()), ((3, 4), u()), ((1, 3), u())], output_qubit=3,
+    )
     assert computation_graph(second_target).up_lines[1] == (1,)
     assert computation_graph(double_edge).up_lines[1] == (0, 1)
     squeezed = [squeeze_all(restrict(m.formula, m.block, m.restriction), m.block).circuit
                 for m in corpus[:12]]
     assert any(g.arity == 6 for c in squeezed for g in c.gates)
-    circuits = [second_target, double_edge, *squeezed]
+    circuits = [second_target, double_edge, shared_variable, constant_subtree, *squeezed]
     expected = [probability_vector(c) for c in circuits]
     monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+    calls = contraction_products(monkeypatch)
     for circuit, p in zip(circuits, expected):
         assert is_formula(circuit)
+        calls.clear()
         assert np.max(np.abs(contract_formula(circuit) - p)) <= TOL
+        if circuit in (shared_variable, constant_subtree):
+            # a per-assignment peak of 40 entries: the slices fix every
+            # variable, x1 only, or none
+            slices = len(calls) // (2 * len(circuit.gates))
+            assert slices == {16: 8, 2 ** 8: 2, 2 ** 15: 1}[budget]
+
+
+@pytest.mark.parametrize("budget", [16, 2 ** 8, 2 ** 15])
+def test_contraction_work_follows_the_subtree(monkeypatch, budget):
+    reference = perfbench_reference()
+    circ, _ = reference.permutation_circuit(np.random.default_rng([0, 2]), 12, 10, 30, tree=True)
+    assert reference.is_tree(circ)  # the evaluate_wide seed-0 formula
+    c = circuit_from_json(circ)
+    graph = computation_graph(c)
+    below = {}  # the variables on the input lines of each node's subtree
+    for step in graph.gate_steps:
+        providers = [(q, graph.prev_on[(step, q)]) for q in c.gates[step - 1].targets]
+        below[step] = set().union(*(below[s] if s else {c.labels[q].var} - {None}
+                                    for q, s in providers))
+    expected = contract_formula(c)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+    calls = contraction_products(monkeypatch)
+    assert np.max(np.abs(contract_formula(c) - expected)) <= TOL
+    assert max(max(sizes) for sizes in calls) <= budget
+    # every slice runs every node, two products each; its first `fixed`
+    # variables are fixed, the rest are axes
+    slices = len(calls) // (2 * len(graph.gate_steps))
+    fixed = slices.bit_length() - 1
+    assert len(calls) == 2 * len(graph.gate_steps) << fixed
+    assert fixed == {16: 10, 2 ** 8: 8, 2 ** 15: 1}[budget]
+    for i, step in enumerate(graph.gate_steps * slices):
+        values = 2 ** len({v for v in below[step] if v > fixed})  # of its free variables
+        k, up = c.gates[step - 1].arity, len(graph.up_lines[step])
+        assert calls[2 * i] == (4 ** k * values, 4 ** k * values)  # rho, then U rho
+        assert calls[2 * i + 1] == (4 ** k * values, 4 ** up * values)  # U rho, then the message
 
 
 def test_batched_state_vector_spans_several_chunks():
@@ -1056,14 +1120,28 @@ def test_contraction_raises_on_root_trace_drift(monkeypatch):
         3, [variable(1), variable(2), constant(0)], [((0, 2), CNOT), ((1, 2), CNOT)],
         output_qubit=2,
     )
-    _force_matrix(c, 1, np.diag([1, 1, 1, 1.5]) @ CNOT)  # grows only when x2 = 1
+    _force_matrix(c, 1, np.diag([1, 1, 1, 1.5]) @ CNOT)  # grows only when x1 = 0, x2 = 1
     with pytest.raises(SimulationError, match="root trace drifted .* at assignment 01"):
         contract_formula(c)
-    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 16)  # one assignment per batch
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 16)  # one assignment per slice
     with pytest.raises(SimulationError, match="root trace drifted .* at assignment 01"):
         contract_formula(c)
     with pytest.raises(SimulationError, match="root trace drifted"):
         evaluate(c, [0, 1, 1, 0])
+    last = build_circuit(
+        3, [variable(1), variable(2), constant(0)], [((0, 2), CNOT), ((1, 2), CNOT)],
+        output_qubit=2,
+    )
+    _force_matrix(last, 1, np.diag([1, 1, 1.5, 1]) @ CNOT)  # grows only when x1 = x2 = 1
+    calls = contraction_products(monkeypatch)
+    # a per-assignment peak of 36 entries: the slices fix no variable, x1
+    # only, or both; the drift is at the last assignment, in the last slice
+    for budget, slices in ((2 ** 15, 1), (2 ** 7, 2), (16, 4)):
+        monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+        calls.clear()
+        with pytest.raises(SimulationError, match="root trace drifted .* at assignment 11"):
+            contract_formula(last)
+        assert len(calls) == 2 * 2 * slices  # two nodes, two products each
 
 
 def test_batched_state_vector_raises_on_norm_drift():

@@ -97,6 +97,14 @@ def test_ed3_values():
     assert f.value(bits(1, 1, 3)) == 0
 
 
+@pytest.mark.parametrize("assignment", [(1,), (1, 1, 1, 1), (0, 2, 1), (0, 0.5, 1), (1, -1, 0)])
+def test_value_rejects_an_assignment_that_is_not_n_bits(assignment):
+    f = TruthTable.from_function(3, lambda x: x[0] ^ x[2])
+    assert f.value((1, 0, 0)) == 1 and f.value((True, 1, np.int64(1))) == 0
+    with pytest.raises(ValueError, match=r"is not 3 bits of 0/1"):
+        f.value(assignment)
+
+
 def test_ed_rejects_tiny_ell():
     with pytest.raises(ValueError):
         ed_function(1)

@@ -175,3 +175,10 @@ def test_apply_gate_takes_its_line_count_from_the_state():
         apply_gate(np.ones(3), Gate(1, (0,), X))
     with pytest.raises(SimulationError, match=r"gate targets \(2,\) exceed 2 qubits"):
         apply_gate(np.ones(4), Gate(1, (2,), X))
+    with pytest.raises(SimulationError, match="^state is empty$"):
+        apply_gate(np.ones(0), Gate(1, (0,), X))
+
+
+def test_apply_gate_rejects_repeated_targets():
+    with pytest.raises(SimulationError, match=r"gate targets \(1, 1\) repeat a line"):
+        apply_gate(np.ones(8) / np.sqrt(8), Gate(1, (1, 1), CNOT))
