@@ -19,8 +19,8 @@ Three bound evaluators and one desk-scale witness:
   products, in stacks of at most ``simulator.CHUNK_AMPLITUDES``
   amplitudes.  Every labeling shares them: its p on every output line is
   read from |U|^2 at its input columns.  A p within ``BOUNDARY_TOL`` of
-  1/3 or 2/3 (``simulator._near``) is re-decided by the step-order state
-  vector on that one circuit, so the verdicts are the oracle's.
+  1/3 or 2/3 (``simulator._near``) is re-decided on that one circuit by
+  ``simulator.exact_probabilities``, so the verdicts are the oracle's.
 
 Every bound is computed once, in log2, so no size overflows; a linear
 value is reported only while it is a finite float, else None.  A lattice
@@ -38,7 +38,7 @@ import numpy as np
 from .circuit import UNITARY_TOL, Circuit, Gate, Record, constant, variable
 from . import simulator
 from .gates import H, I2, X, capped_matmul, unitary_deviation
-from .simulator import _line_values, _near, _operator, decide
+from .simulator import _line_values, _near, _operator, decide, exact_probabilities
 
 E = math.e
 
@@ -306,7 +306,7 @@ def _sequence_operators(operators: list[np.ndarray], num_gates: int, dim: int, s
 
 def _scan(n: int, num_gates: int, net: GateNet, num_qubits: int, arity_bound: int):
     """(first, labeling, p) per chunk: p[i, o, l, a] is the acceptance
-    probability, read from |U|^2 (from ``simulator._scan`` near a threshold),
+    probability, read from |U|^2 (from ``exact_probabilities`` near a threshold),
     of gate sequence first + i on output line o under labeling labeling + l
     at assignment a (x1 most significant).  Labelings and gate sequences
     are numbered in ``itertools.product`` order."""
@@ -338,7 +338,7 @@ def _scan(n: int, num_gates: int, net: GateNet, num_qubits: int, arity_bound: in
                 digits = np.unravel_index(first + i, (len(placements),) * num_gates)
                 gates = [Gate(k + 1, placements[d][1], placements[d][0]) for k, d in enumerate(digits)]
                 circuit = Circuit(m, labelings[lo + l], gates, o, arity_bound)
-                p[i, o, l] = simulator._scan(circuit, 0, 2 ** n)
+                p[i, o, l] = exact_probabilities(circuit)
             yield first, lo, p
 
 

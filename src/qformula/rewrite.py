@@ -12,8 +12,8 @@ Three rewrites, each preserving acceptance probabilities:
   replaced by one six-qubit composite gate acting on the two head lines
   plus four fresh |0> qubits.  The companion lines disappear from the
   circuit.  Acceptance probabilities agree with the original within
-  1e-9 for every block assignment, which ``verify_squeeze`` checks by
-  exhaustive simulation.
+  1e-9 for every block assignment, which ``verify_squeeze`` checks with
+  ``simulator.exact_probabilities``, without a line cap for formulas.
 
 ``postpone`` is the rule that sorts a segment's window into companion
 preparation and junk: a gate on a line the path has already consumed
@@ -44,7 +44,7 @@ from .analysis import (
     path_sets,
 )
 from .circuit import DEFAULT_RANK_TOL, UNITARY_TOL, Circuit, Gate, InputLabel, Record, constant, variable
-from .simulator import SimulationError, _require_cap, final_states, probability_vector
+from .simulator import SimulationError, _require_cap, exact_probabilities, final_states
 from .tensor import orthonormalize
 
 RECONSTRUCTION_TOL = 1e-10
@@ -458,11 +458,12 @@ def squeeze_all(
 
 
 def verify_squeeze(original: Circuit, squeezed: Circuit, *, tol: float = SQUEEZE_TOL) -> float:
-    """Max |p_alpha difference| over all assignments; raises beyond tol (or at NaN)."""
+    """Max |p_alpha difference| over all assignments (``exact_probabilities``);
+    raises beyond tol (or at NaN)."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    p_orig = probability_vector(original)
-    p_new = probability_vector(squeezed)
+    p_orig = exact_probabilities(original)
+    p_new = exact_probabilities(squeezed)
     if p_orig.shape != p_new.shape:
         raise VerificationError(
             f"variable counts differ: {original.num_variables} vs {squeezed.num_variables}"

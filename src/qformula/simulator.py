@@ -56,10 +56,11 @@ one counts all of the circuit's lines, the pruned one its cone's.
 ``capped_matmul`` hands BLAS no product of more than ``BLAS_SLICE_MACS``
 multiply-adds in one call when BLAS may run on more than one thread.
 
-``evaluate`` dispatches on ``is_formula``: formulas take the
-contraction, everything else the pruned, fused state vector.  Either
-way an assignment whose p lands within 1e-12 of a threshold (``_near``)
-is re-decided by the step-order state vector on the light cone's gates,
+``exact_probabilities`` alone chooses among the three: the oracle when
+the whole scan fits one batch, else the contraction for a formula and
+the pruned, fused state vector for anything else.  On those two an
+assignment whose p lands within 1e-12 of a threshold (``_near``) is
+re-decided by the step-order state vector on the light cone's gates,
 unfused, on the cone's lines, so the verdict is the oracle's.  One
 threshold rule, ``decide``, and one guard band, ``_near``, serve
 ``evaluate`` and the counting module.  All batched paths check every
@@ -229,20 +230,15 @@ def run(circuit: Circuit, assignment) -> tuple[np.ndarray, Outcome]:
     """Execute the circuit on one assignment; returns (state, outcome).
 
     Gates are applied in step order.  The final norm is required to be
-    1 within 1e-10; a drift beyond that indicates a non-unitary gate
-    slipped past validation.
+    1 within 1e-10; a drift beyond that (or NaN) indicates a non-unitary
+    gate slipped past validation.
     """
     _require_cap(circuit)
     circuit.check()
-    m = circuit.num_qubits
-    buffer = initial_state(circuit, assignment)
-    tensor = buffer.reshape([2] * m)
-    for gate in circuit.gates:
-        tensor = _apply(tensor, gate, buffer)
-    state = tensor.reshape(-1)
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise SimulationError(f"state norm drifted to {norm}")
+    m, n = circuit.num_qubits, circuit.num_variables
+    state = _operator(circuit.gates, m, initial_state(circuit, assignment)[:, None]).reshape(-1)
+    index = int((1 << np.arange(n - 1, -1, -1)) @ np.asarray(assignment, dtype=int))
+    _check_drift(np.linalg.norm(state, keepdims=True), index, n, "state norm")
     return state, output_probability(state, circuit.output_qubit, m)
 
 
@@ -683,25 +679,17 @@ def verdict(p, table_bits) -> FunctionVerdict:
     return FunctionVerdict(status, _alpha(idx, p.size.bit_length() - 1), float(p[idx]))
 
 
-def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
-    """Compare the circuit against a truth table over its variables.
-
-    The table is indexed with x1 as the most significant bit; the first
-    failing assignment in that order is reported.  Formulas go through
-    ``contract_formula``, which has no line cap; other circuits through
-    the pruned, fused state vector, capped at ``MAX_QUBITS`` cone lines.  An
-    assignment whose p lands within 1e-12 of a threshold is re-decided
-    by the step-order state vector on the cone circuit (the graph's
-    gates, unfused, on the cone's lines) when the cone fits under
-    ``MAX_QUBITS``, so the verdict is the oracle's.
+def exact_probabilities(circuit: Circuit) -> np.ndarray:
+    """p1 for every assignment, indexed like ``probability_vector``: the
+    oracle while 2^(m+n) amplitudes fit ``CHUNK_AMPLITUDES``, else
+    ``contract_formula`` for a formula (no line cap) or the pruned, fused
+    state vector (capped at ``MAX_QUBITS`` cone lines), p near a threshold
+    re-decided on the cone circuit when it fits under ``MAX_QUBITS``.
     """
     circuit.check()
     n = circuit.num_variables
-    bits = np.asarray(table_bits).reshape(-1)
-    if bits.size != 2 ** n:
-        raise SimulationError(f"truth table has {bits.size} entries, expected {2 ** n}")
-    if not np.all((bits == 0) | (bits == 1)):
-        raise SimulationError("truth table entries must be 0/1")
+    if 1 << (circuit.num_qubits + n) <= CHUNK_AMPLITUDES:
+        return probability_vector(circuit)
     if is_formula(circuit):
         p = contract_formula(circuit)
     else:
@@ -714,17 +702,33 @@ def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
             # the cone's scan index: its x_i is the circuit's x_scanned[i-1]
             local = sum((int(idx) >> (n - j) & 1) << i for i, j in enumerate(scanned[::-1]))
             p[idx] = _scan(cone, local, local + 1)[0]
-    return verdict(p, bits)
+    return p
+
+
+def evaluate(circuit: Circuit, table_bits) -> FunctionVerdict:
+    """Compare the circuit against a truth table over its variables.
+
+    The table is indexed with x1 as the most significant bit; the first
+    failing assignment in that order is reported, p from ``exact_probabilities``.
+    """
+    circuit.check()
+    n = circuit.num_variables
+    bits = np.asarray(table_bits).reshape(-1)
+    if bits.size != 2 ** n:
+        raise SimulationError(f"truth table has {bits.size} entries, expected {2 ** n}")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise SimulationError("truth table entries must be 0/1")
+    return verdict(exact_probabilities(circuit), bits)
 
 
 def _operator(gates, m: int, start: np.ndarray | None = None) -> np.ndarray:
-    """The 2^m x 2^m operator of ``gates`` in order after ``start`` (default the identity)."""
-    dim = 2 ** m
-    buffer = np.eye(dim, dtype=complex) if start is None else start.copy()
-    u = buffer.reshape([2] * m + [dim])
+    """``gates`` in order applied to each column of ``start``, 2^m rows by
+    any number of columns (default the identity: the 2^m x 2^m operator)."""
+    buffer = np.eye(2 ** m, dtype=complex) if start is None else start.copy()
+    u = buffer.reshape([2] * m + [-1])
     for gate in gates:
         u = _apply(u, gate, buffer)
-    return u.reshape(dim, dim)
+    return u.reshape(buffer.shape)
 
 
 def to_unitary(circuit: Circuit) -> np.ndarray:

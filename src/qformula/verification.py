@@ -38,7 +38,7 @@ from .analysis import CompanionSet, Hop, PathSegment
 from .circuit import Circuit, Gate, Record, build_circuit, constant
 from .gates import complete_unitaries, complex_normal, gaussian_matrix
 from .rewrite import decompose_disjoint, postpone
-from .simulator import _apply, _operator
+from .simulator import _operator
 from .tensor import inner_product, kron, norm, orthonormalize
 
 FACTORIZATION_TOL = 1e-12
@@ -145,19 +145,13 @@ def _draw_split(rng: np.random.Generator, unitary):
     states[int(rng.integers(0, 2 ** width)), 0] = 1.0
     states[:, 1] = _random_vector(rng, 2 ** width, unit=True)
 
-    def through(*sequences):  # both states as one 2-column batch
-        tensor = states.reshape([2] * width + [2])
-        for gate in (gate for sequence in sequences for gate in sequence):
-            tensor = _apply(tensor, gate)
-        return tensor.reshape(-1, 2)
-
     def check(unitaries):
         gates = [Gate(step=i + 1, targets=targets, matrix=unitaries[u])
                  for i, (targets, u) in enumerate(specs)]
         c1, c2 = decompose_disjoint(gates, q1, q2)
-        reference = through(gates)
-        first = np.abs(reference - through(c1, c2)).max(axis=0)
-        second = np.abs(reference - through(c2, c1)).max(axis=0)
+        reference = _operator(gates, width, states)
+        first = np.abs(reference - _operator([*c1, *c2], width, states)).max(axis=0)
+        second = np.abs(reference - _operator([*c2, *c1], width, states)).max(axis=0)
         return float(first[0]), float(second[0]), float(first[1]), float(second[1])
     return check
 

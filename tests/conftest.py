@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qformula
+from qformula import build_circuit, constant, simulator
 from qformula.samples import formula_corpus
 
 ADDRESS_SPACE_CAP = 2 * 10 ** 9
@@ -16,6 +17,26 @@ ADDRESS_SPACE_CAP = 2 * 10 ** 9
 def corpus():
     """110 seeded random formulas shared by the heavier suites."""
     return formula_corpus(110)
+
+
+@pytest.fixture
+def fast_paths(monkeypatch):
+    """A batch budget no scan fits, so ``exact_probabilities`` sends even
+    a one-line circuit to the contraction or the pruned path (and their
+    re-decisions) instead of the step-order oracle."""
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", 1)
+
+
+@pytest.fixture(scope="session")
+def pad():
+    """``pad(circuit)``: the circuit with 12 more |0> lines that no gate
+    touches.  Corpus seeds 9 and 19 pass ``MAX_QUBITS`` lines that way,
+    and five of seeds 0-19 squeeze to more than it."""
+    def padded(circuit):
+        return build_circuit(circuit.num_qubits + 12, [*circuit.labels, *[constant(0)] * 12],
+                             [(g.targets, g.matrix) for g in circuit.gates], circuit.output_qubit,
+                             arity_bound=circuit.arity_bound)
+    return padded
 
 
 def _cap_address_space():

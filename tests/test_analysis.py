@@ -311,6 +311,7 @@ def test_formula_analyses_and_squeezing_share_one_derivation(derivations):
     assert derivations == [c]
 
 
+@pytest.mark.usefixtures("fast_paths")
 @pytest.mark.parametrize("make", [formula_example, nonformula_example])
 def test_evaluate_derives_the_wiring_once(derivations, make):
     c = make()

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qformula import (
-    build_circuit, constant, is_formula, read_circuit, restrict, variable, write_circuit,
-    write_truth_table,
+    Gate, build_circuit, constant, is_formula, read_circuit, restrict, squeeze_all, variable,
+    write_circuit, write_truth_table,
 )
 from qformula.cli import main
 from qformula.fileio import circuit_to_json
-from qformula.gates import CNOT, H, SWAP, TOFFOLI, random_unitary
+from qformula.gates import CNOT, H, SWAP, TOFFOLI, X, random_unitary
 from qformula.nechiporuk import bound_term
 from qformula.samples import formula_corpus, formula_example, nonformula_example, two_path_example
 
@@ -635,6 +635,46 @@ def test_squeeze_past_the_line_cap_exits_1_without_a_traceback(tmp_path, run_chi
     # the message names the segment: the circuit has 25 lines too
     assert done.stderr == ("error: segment at steps 1-29 with 23 companion lines: "
                            "25 qubits exceeds the simulation cap 20\n")
+
+
+def squeeze_argv(member, path):
+    """``qf squeeze --json`` on ``path`` with the member's block and rho."""
+    argv = ["squeeze", "--json", "-c", str(path),
+            "--block", ",".join(str(j) for j in sorted(member.block))]
+    return argv + (["--rho", ",".join(f"{v}={b}" for v, b in member.rho)] if member.rho else [])
+
+
+def test_squeezes_of_padded_formulas_verify_past_the_line_cap(tmp_path, capsys, pad):
+    # each corpus formula with 12 idle |0> lines: five of the twenty have an
+    # input or an output wider than the 20-line cap, so only the contraction
+    # can verify them, and every deviation must be the unpadded one's
+    past_the_cap = []
+    for member in formula_corpus(20):
+        plain = squeeze_all(restrict(member.formula, member.block, member.restriction), None)
+        padded = pad(member.formula)
+        squeezed = squeeze_all(restrict(padded, member.block, member.restriction), None)
+        if max(padded.num_qubits, squeezed.circuit.num_qubits) > 20:
+            past_the_cap.append(member.seed)
+        write_circuit(padded, tmp_path / "padded.json")
+        code, out, _ = run_cli(capsys, *squeeze_argv(member, tmp_path / "padded.json"))
+        assert code == 0
+        for deviation in (squeezed.max_deviation, json.loads(out)["max_probability_deviation"]):
+            assert abs(deviation - plain.max_deviation) <= 1e-12
+    assert past_the_cap == [1, 6, 9, 16, 19]
+
+
+def test_a_broken_composite_on_a_padded_formula_exits_2(tmp_path, capsys, monkeypatch, pad):
+    import qformula.rewrite
+
+    member = formula_corpus(20)[9]  # 22 lines once padded
+    write_circuit(pad(member.formula), tmp_path / "padded.json")
+    real = qformula.rewrite.build_composite_gate
+    # every composite gate becomes X on its first head line: unitary, so only verification fails
+    monkeypatch.setattr(qformula.rewrite, "build_composite_gate", lambda record, targets: Gate(
+        1, real(record, targets).targets, np.kron(X, np.eye(32))))
+    code, out, err = run_cli(capsys, *squeeze_argv(member, tmp_path / "padded.json"))
+    assert (code, out) == (2, "")
+    assert "verification failure" in err
 
 
 @pytest.mark.parametrize("argv, code", [

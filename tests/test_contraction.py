@@ -27,6 +27,7 @@ from qformula import (
     run,
     squeeze_all,
     variable,
+    verify_squeeze,
     write_circuit,
     write_truth_table,
 )
@@ -44,6 +45,7 @@ from qformula.simulator import (
     _plan,
     _probabilities,
     decide,
+    exact_probabilities,
     verdict,
 )
 
@@ -70,11 +72,17 @@ def scan_verdict(circuit, table):
 
 
 def assert_same_verdict(circuit, table):
-    got = evaluate(circuit, table)
+    """``evaluate`` agrees with a ``run`` scan on its fast path, both at a
+    budget no scan fits (one assignment per slice) and at the largest budget
+    short of the whole scan (all variables but one batched)."""
     status, alpha, p = scan_verdict(circuit, table)
-    assert (got.status, got.alpha) == (status, alpha)
-    if p is not None:
-        assert abs(got.p - p) <= TOL
+    for budget in (1, 1 << (circuit.num_qubits + circuit.num_variables - 1)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+            got = evaluate(circuit, table)
+        assert (got.status, got.alpha) == (status, alpha)
+        if p is not None:
+            assert abs(got.p - p) <= TOL
 
 
 def random_general(rng, m, n, num_gates):
@@ -146,6 +154,38 @@ def test_contraction_matches_run_on_corpus_restrictions_and_squeezes(corpus):
             assert np.max(np.abs(contract_formula(circuit) - expected)) <= TOL
             assert np.max(np.abs(probability_vector(circuit) - expected)) <= TOL
     assert 6 in arities  # squeezed outputs carry arity-6 messages
+
+
+def exact_paths(monkeypatch):
+    """Record which of the oracle, the contraction and the pruned path each
+    ``exact_probabilities`` call takes (the re-decisions run ``_scan``)."""
+    taken = []
+    for name in ("probability_vector", "contract_formula", "_probabilities"):
+        real = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name,
+                            lambda *args, real=real, name=name: taken.append(name) or real(*args))
+    return taken
+
+
+@pytest.mark.parametrize("budget", [simulator.CHUNK_AMPLITUDES, 1], ids=["default", "no-batch-fits"])
+def test_exact_probabilities_match_the_oracle_on_corpus_restrictions_and_squeezes(
+        monkeypatch, corpus, budget):
+    circuits = []
+    for member in corpus:
+        restricted = restrict(member.formula, member.block, member.restriction)
+        circuits += [restricted, squeeze_all(restricted, member.block).circuit]
+    rng = np.random.default_rng(3)
+    generated = [random_general(rng, 6, 4, 30) for _ in range(8)]
+    circuits += [nonformula_example(), toffoli_and_circuit()] + [
+        c for c in generated if not is_formula(c)]
+    expected = [probability_vector(c) for c in circuits]
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+    taken = exact_paths(monkeypatch)
+    for circuit, p in zip(circuits, expected):
+        taken.clear()
+        assert np.max(np.abs(exact_probabilities(circuit) - p)) <= TOL
+        fast = "contract_formula" if is_formula(circuit) else "_probabilities"
+        assert taken == ["probability_vector" if budget > 1 else fast]
 
 
 def test_contraction_with_untouched_output_line():
@@ -576,6 +616,7 @@ def test_pruned_path_scans_only_the_cone_variables(monkeypatch):
     assert sum(batches) == 8
 
 
+@pytest.mark.usefixtures("fast_paths")
 def test_pruned_path_names_the_first_drifting_assignment_in_full_scan_order():
     c = cone_with_idle_line()
     # shrinks when line 1 is 1, i.e. x1 = 1: the first such assignment is 100,
@@ -764,15 +805,22 @@ def plan_budget(circuit, batch_variables):
 @pytest.mark.parametrize("make", FOLD_CASES.values(), ids=FOLD_CASES.keys())
 def test_lines_that_join_inside_a_block_match_the_oracle(monkeypatch, make, branching, fused_lines):
     c = make()
-    # evaluate takes the pruned path unless no gate is on the output line
+    # past one batch, evaluate takes the pruned path unless no gate is on
+    # the output line; a budget the whole scan fits takes the oracle
     assert is_formula(c) == (not any(c.output_qubit in g.targets for g in c.gates))
     expected = probability_vector(c)
     tables = [(expected > 0.5).astype(int), (expected <= 0.5).astype(int)]
+    budget = plan_budget(c, branching)
     monkeypatch.setattr(simulator, "FUSED_LINES", fused_lines)
-    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", plan_budget(c, branching))
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
     assert np.max(np.abs(_probabilities(c, _fused_schedule(c)) - expected)) <= TOL
+    taken = exact_paths(monkeypatch)
+    path = ("probability_vector" if budget >= 1 << (c.num_qubits + c.num_variables)
+            else "contract_formula" if is_formula(c) else "_probabilities")
     for table in tables:
+        taken.clear()
         got, oracle = evaluate(c, table), verdict(expected, table)
+        assert taken == [path]
         assert (got.status, got.alpha) == (oracle.status, oracle.alpha)
         if oracle.p is not None:
             assert abs(got.p - oracle.p) <= TOL
@@ -818,10 +866,15 @@ def test_a_drifting_block_that_lines_join_names_the_first_bad_assignment(monkeyp
     assert [b.targets for b in _fused_schedule(c)][:2] == [(0, 1), (0, 2, 3)]
     with pytest.raises(SimulationError, match="state norm drifted .* at assignment 001"):
         probability_vector(c)
-    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", plan_budget(c, branching))
+    budget = plan_budget(c, branching)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", budget)
+    taken = exact_paths(monkeypatch)
     for simulate in (fused_probabilities, lambda c: evaluate(c, [0] * 8)):
         with pytest.raises(SimulationError, match="state norm drifted .* at assignment 001"):
             simulate(c)
+    # evaluate's own path: the oracle where the whole scan fits one batch
+    one_batch = budget >= 1 << (c.num_qubits + c.num_variables)
+    assert taken == ["probability_vector" if one_batch else "_probabilities"]
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +945,9 @@ def test_formula_past_the_line_cap_evaluates_by_contraction():
         probability_vector(c)
 
 
-def test_non_formula_keeps_the_line_cap_on_its_cone():
+@pytest.mark.parametrize("simulate", [lambda c: evaluate(c, [0, 1]), lambda c: verify_squeeze(c, c)],
+                         ids=["evaluate", "verify_squeeze"])
+def test_non_formula_keeps_the_line_cap_on_its_cone(simulate):
     # a CNOT ladder carries line 2 to line 20: the cone holds all 21 lines
     ladder = [((q, q + 1), CNOT) for q in range(2, 20)]
     c = build_circuit(21, [variable(1)] + [constant(0)] * 20,
@@ -900,7 +955,7 @@ def test_non_formula_keeps_the_line_cap_on_its_cone():
     assert not is_formula(c)
     assert len(computation_graph(c).gate_steps) == len(c.gates)
     with pytest.raises(SimulationError, match="21 qubits exceeds the simulation cap 20"):
-        evaluate(c, [0, 1])
+        simulate(c)
 
 
 def test_non_formula_past_the_line_cap_with_a_small_cone_evaluates(monkeypatch):
@@ -960,6 +1015,7 @@ def redecided(monkeypatch):
     [(-5e-13, "computes"), (5e-13, "undetermined")],
     ids=["just-outside-the-band", "just-inside-the-band"],
 )
+@pytest.mark.usefixtures("fast_paths")
 def test_p_within_1e_12_of_a_threshold_is_redecided_by_the_scan(redecided, offset, status):
     c = rotation_formula(1 / 3 + offset)
     got = evaluate(c, [0, 1])
@@ -984,6 +1040,7 @@ def rotation_nonformula(p0):
     [(-5e-13, "computes"), (5e-13, "undetermined")],
     ids=["just-outside-the-band", "just-inside-the-band"],
 )
+@pytest.mark.usefixtures("fast_paths")
 def test_non_formula_p_within_1e_12_of_a_threshold_is_redecided_by_the_scan(
     redecided, offset, status
 ):
@@ -1007,6 +1064,7 @@ def swap_nonformula(p0, width):
     )
 
 
+@pytest.mark.usefixtures("fast_paths")
 def test_boundary_redecision_runs_on_the_cone_whatever_the_width(redecided):
     narrow, padded = swap_nonformula(1 / 3 + 5e-13, 3), swap_nonformula(1 / 3 + 5e-13, 21)
     assert not is_formula(narrow) and not is_formula(padded)
@@ -1017,6 +1075,7 @@ def test_boundary_redecision_runs_on_the_cone_whatever_the_width(redecided):
     assert got.status == "undetermined" == scan_verdict(narrow, [0, 1])[0]
 
 
+@pytest.mark.usefixtures("fast_paths")
 def test_every_line_cap_reads_max_qubits(monkeypatch, redecided):
     # p within 1e-12 of 1/3 on a non-formula of 4 lines whose cone holds 3,
     # and on a 1-line formula, which the contraction takes past any cap
@@ -1065,6 +1124,7 @@ def off_graph_formula(p0):
 @pytest.mark.parametrize("offset", [-5e-13, 5e-13], ids=["outside-the-band", "inside-the-band"])
 @pytest.mark.parametrize("build, formula", [(off_cone_nonformula, False), (off_graph_formula, True)],
                          ids=["non-formula-off-cone-first-gate", "formula-off-graph-gate"])
+@pytest.mark.usefixtures("fast_paths")
 def test_boundary_redecision_on_a_cone_that_drops_a_gate(redecided, build, formula, offset):
     c = build(1 / 3 + offset)
     assert is_formula(c) == formula
@@ -1078,6 +1138,7 @@ def test_boundary_redecision_on_a_cone_that_drops_a_gate(redecided, build, formu
 
 
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
+@pytest.mark.usefixtures("fast_paths")
 def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true_offset):
     c = rotation_nonformula(1 / 3 + true_offset)
     real = fused_probabilities(c)
@@ -1088,6 +1149,7 @@ def test_non_formula_boundary_verdict_follows_the_state_vector(monkeypatch, true
     assert (got.status, got.alpha) == scan_verdict(c, [0, 1])[:2]
 
 
+@pytest.mark.usefixtures("fast_paths")
 def test_p_outside_the_guard_window_is_not_redecided(redecided):
     c = rotation_formula(1 / 3 - 1e-11)
     assert evaluate(c, [0, 1]).computes
@@ -1095,6 +1157,7 @@ def test_p_outside_the_guard_window_is_not_redecided(redecided):
 
 
 @pytest.mark.parametrize("true_offset", [-1e-13, 1e-13])
+@pytest.mark.usefixtures("fast_paths")
 def test_boundary_verdict_follows_the_state_vector(monkeypatch, true_offset):
     c = rotation_formula(1 / 3 + true_offset)
     real = contract_formula(c)
@@ -1144,17 +1207,34 @@ def test_contraction_raises_on_root_trace_drift(monkeypatch):
         assert len(calls) == 2 * 2 * slices  # two nodes, two products each
 
 
-def test_batched_state_vector_raises_on_norm_drift():
+def toffoli_with_nan_matrix():
+    """The AND circuit, its Toffoli's matrix swapped for NaNs after the check."""
+    c = toffoli_and_circuit()
+    _force_matrix(c, 0, np.full((8, 8), np.nan))
+    return c
+
+
+def shrinking_nonformula():
     c = nonformula_example()
     c.check()
-    shrink = c.gates[1].matrix @ np.diag([1, 1, 1, 0.5])  # input x1 = x2 = 1
-    _force_matrix(c, 1, shrink)
-    with pytest.raises(SimulationError, match="state norm drifted .* at assignment 11"):
+    _force_matrix(c, 1, c.gates[1].matrix @ np.diag([1, 1, 1, 0.5]))  # input x1 = x2 = 1
+    return c
+
+
+@pytest.mark.parametrize("make, first", [(shrinking_nonformula, "11"),
+                                         (toffoli_with_nan_matrix, "00")],  # NaN * 0 is NaN
+                         ids=["shrinking", "nan"])
+def test_batched_state_vector_raises_on_norm_drift(make, first):
+    c = make()
+    with pytest.raises(SimulationError, match=f"state norm drifted .* at assignment {first}"):
         probability_vector(c)
+    with pytest.raises(SimulationError, match="state norm drifted .* at assignment 11"):
+        run(c, [1, 1])
     with pytest.raises(SimulationError, match="state norm drifted"):
         evaluate(c, [0, 0, 0, 0])
 
 
+@pytest.mark.usefixtures("fast_paths")
 def test_fused_state_vector_raises_on_norm_drift():
     c = nonformula_example()
     c.check()

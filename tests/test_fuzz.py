@@ -182,8 +182,7 @@ def test_fuzz_formulas_agree_across_simulators(circuit, data):
     with mock.patch.object(simulator, "CHUNK_AMPLITUDES", 16):
         assert np.max(np.abs(contract_formula(circuit) - by_run)) <= TOL
     table = data.draw(st.lists(st.integers(0, 1), min_size=by_run.size, max_size=by_run.size))
-    got = evaluate(circuit, table)
-    assert (got.status, got.alpha) == _scan(circuit, table)
+    _check_evaluate(circuit, table)
 
 
 @FUZZ
@@ -201,8 +200,18 @@ def test_fuzz_general_circuits_agree_across_simulators(circuit, data):
         assert any(gate is k for k in kept) != cone.isdisjoint(gate.targets)
     _check_pruned_path(circuit, by_run)
     table = data.draw(st.lists(st.integers(0, 1), min_size=by_run.size, max_size=by_run.size))
-    got = evaluate(circuit, table)
-    assert (got.status, got.alpha) == _scan(circuit, table)
+    _check_evaluate(circuit, table)
+
+
+def _check_evaluate(circuit, table):
+    """``evaluate`` agrees with a ``run`` scan on the path it takes (the
+    oracle, for these one-batch circuits) and on the fast path a budget no
+    scan fits forces, with its re-decision."""
+    expected = _scan(circuit, table)
+    for budget in (simulator.CHUNK_AMPLITUDES, 1):
+        with mock.patch.object(simulator, "CHUNK_AMPLITUDES", budget):
+            got = evaluate(circuit, table)
+        assert (got.status, got.alpha) == expected
 
 
 def _check_pruned_path(circuit, expected, budgets=(1, 2 ** 4, 2 ** 15)):

@@ -614,11 +614,21 @@ def test_squeeze_verdicts_match_on_threshold_tables(corpus):
                 assert abs(before.p - after.p) <= 1e-9
 
 
-def test_verify_squeeze_raises_on_tampered_circuit():
-    c = two_path_example()
+def padded_restriction(pad, seed):
+    """Corpus seed ``seed`` restricted to its block, with 12 idle |0> lines."""
+    member = random_formula(seed)
+    return restrict(pad(member.formula), member.block, member.restriction)
+
+
+@pytest.mark.parametrize("make", [lambda pad: two_path_example(),
+                                  lambda pad: padded_restriction(pad, 9)],
+                         ids=["two-path", "padded-seed-9-past-the-line-cap"])
+def test_verify_squeeze_raises_on_tampered_circuit(pad, make):
+    c = make(pad)
     squeezed = squeeze_all(c, verify=False)
     gates = list(squeezed.circuit.gates)
-    gates[0] = Gate(gates[0].step, gates[0].targets, np.kron(X, np.eye(32)))
+    at = squeezed.composite_steps[0] - 1  # the first composite gate
+    gates[at] = Gate(gates[at].step, gates[at].targets, np.kron(X, np.eye(32)))
     broken = Circuit(
         num_qubits=squeezed.circuit.num_qubits,
         labels=squeezed.circuit.labels,
@@ -648,7 +658,7 @@ def test_a_nan_deviation_fails_verification(monkeypatch):
     squeezed = squeeze_all(c, verify=False).circuit
     p = probability_vector(c)
     monkeypatch.setattr(
-        qformula.rewrite, "probability_vector", lambda circuit: p if circuit is c else p * np.nan
+        qformula.rewrite, "exact_probabilities", lambda circuit: p if circuit is c else p * np.nan
     )
     with pytest.raises(VerificationError, match="deviates by nan"):
         qformula.rewrite.verify_squeeze(c, squeezed)
