@@ -18,7 +18,8 @@ All types are immutable; operations on them are pure functions.  So
 what a check derives is kept on the checked object and never recomputed:
 each gate keeps its unitarity deviation, which travels with the gate
 into every circuit that reuses it (``relabel``, ``Gate.moved``); a
-circuit keeps its ``check()`` verdict and its computation graph.
+circuit keeps its ``check()`` verdict, its gate checks' verdict and its
+computation graph, and ``relabel`` carries the last two over.
 """
 from __future__ import annotations
 
@@ -127,7 +128,8 @@ class Gate(Record):
 
     ``targets`` are distinct qubit indices; the matrix has dimension
     2^len(targets) and is stored as an immutable complex128 array (a
-    copy).  ``deviation`` is computed once and kept on the gate.
+    copy, which gates re-stepped with ``moved`` share).  ``deviation``
+    is computed once and kept on the gate.
     """
 
     step: int
@@ -153,11 +155,11 @@ class Gate(Record):
         return self.__dict__["_deviation"]
 
     def moved(self, step: int, targets: Sequence[int]) -> "Gate":
-        """The same matrix at another step on other targets, with this
-        gate's deviation if it has been computed."""
-        gate = Gate(step=step, targets=targets, matrix=self.matrix)
-        if "_deviation" in self.__dict__:
-            object.__setattr__(gate, "_deviation", self.__dict__["_deviation"])
+        """This gate's matrix, the very (read-only) array, at another step
+        on other targets, with this gate's deviation if it has been
+        computed."""
+        gate = object.__new__(Gate)
+        gate.__dict__.update(self.__dict__, step=step, targets=tuple(int(q) for q in targets))
         return gate
 
     def __repr__(self) -> str:
@@ -210,20 +212,22 @@ class Circuit(Record):
 
     def relabel(self, labels: Iterable[InputLabel]) -> "Circuit":
         """The same gates on other labels.  The gates are the same objects,
-        so their kept deviations carry over, and so does the kept wiring,
-        which reads no label; the ``check()`` verdict does not."""
+        so their kept deviations carry over, and so do the kept wiring and
+        gate checks, which read no label; the ``check()`` verdict does not,
+        so a check re-checks only the labels."""
         circuit = replace(self, labels=tuple(labels))
-        if "_graph" in self.__dict__:
-            object.__setattr__(circuit, "_graph", self.__dict__["_graph"])
+        for kept in ("_graph", "_gate_violations"):
+            if kept in self.__dict__:
+                object.__setattr__(circuit, kept, self.__dict__[kept])
         return circuit
 
     def check(self) -> "Circuit":
         """Raise InvalidCircuitError unless the circuit is well-formed.
 
         The circuit is immutable, so a successful check is remembered
-        and later calls return at once; ``validate`` always re-checks
-        (the wiring and labels; each gate's deviation is kept on the gate,
-        so a circuit built from checked gates costs no unitarity product).
+        and later calls return at once; ``validate`` always re-checks the
+        labels and output line (its gate checks are kept on the circuit,
+        each gate's deviation on the gate: checked gates cost no product).
         """
         if "_valid" not in self.__dict__:
             report = validate(self)
@@ -252,7 +256,8 @@ def validate(circuit: Circuit) -> ValidationReport:
     and output-qubit range.  The deviations of gates that lack one are
     computed first, one stacked product per matrix dimension, and kept on
     the gates; a matrix with an entry that is not finite is reported as
-    such, not as non-unitary.
+    such, not as non-unitary.  The gate checks, which read no label, run
+    once per circuit and are kept on it (``relabel`` carries them over).
     """
     v: list[str] = []
     m = circuit.num_qubits
@@ -269,30 +274,37 @@ def validate(circuit: Circuit) -> ValidationReport:
     if used and used != list(range(1, len(used) + 1)):
         v.append(f"variable indices are not contiguous from 1: {used}")
 
+    if "_gate_violations" not in circuit.__dict__:
+        object.__setattr__(circuit, "_gate_violations", _gate_violations(circuit))
+    return ValidationReport((*v, *circuit.__dict__["_gate_violations"]))
+
+
+def _gate_violations(circuit: Circuit) -> tuple[str, ...]:
+    """``validate``'s checks of each gate, which read no label."""
     _keep_deviations(circuit.gates)
+    m, v = circuit.num_qubits, []
     prev_step = 0
     for g in circuit.gates:
-        where = f"step {g.step}"
         if g.step != prev_step + 1:
-            v.append(f"gate steps not consecutive at {where} (expected {prev_step + 1})")
+            v.append(f"gate steps not consecutive at step {g.step} (expected {prev_step + 1})")
         prev_step = g.step
         if len(set(g.targets)) != len(g.targets):
-            v.append(f"repeated target at {where}: {g.targets}")
+            v.append(f"repeated target at step {g.step}: {g.targets}")
         if any(not (0 <= q < m) for q in g.targets):
-            v.append(f"target out of range at {where}: {g.targets}")
+            v.append(f"target out of range at step {g.step}: {g.targets}")
         if g.arity > circuit.arity_bound:
-            v.append(f"arity exceeds bound at {where}: {g.arity} > {circuit.arity_bound}")
+            v.append(f"arity exceeds bound at step {g.step}: {g.arity} > {circuit.arity_bound}")
         if g.arity < 1:
-            v.append(f"gate with no targets at {where}")
+            v.append(f"gate with no targets at step {g.step}")
         dim = 2 ** g.arity
         if g.matrix.shape != (dim, dim):
-            v.append(f"matrix shape {g.matrix.shape} does not match {g.arity} targets at {where}")
+            v.append(f"matrix shape {g.matrix.shape} does not match {g.arity} targets at step {g.step}")
         elif g.deviation > UNITARY_TOL:  # an entry that is not finite makes it inf
             if not np.isfinite(g.matrix).all():
-                v.append(f"non-finite matrix entry at {where}")
+                v.append(f"non-finite matrix entry at step {g.step}")
             else:
-                v.append(f"non-unitary at {where} (deviation {g.deviation:.3e})")
-    return ValidationReport(tuple(v))
+                v.append(f"non-unitary at step {g.step} (deviation {g.deviation:.3e})")
+    return tuple(v)
 
 
 def build_circuit(

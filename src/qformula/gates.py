@@ -58,9 +58,9 @@ BLAS_SLICE_MACS = 2 ** 15 if _blas_may_thread() else None
 
 
 def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """``rng.normal(size=shape) + 1j * rng.normal(size=shape)``, bit for bit, in one array."""
+    """``rng.normal(size=shape) + 1j * rng.normal(size=shape)``, bit for bit, from one fill."""
     z = np.empty(shape, dtype=complex)
-    z.real, z.imag = rng.normal(size=shape), rng.normal(size=shape)
+    z.real, z.imag = rng.normal(size=(2, *z.shape))
     return z
 
 
@@ -94,10 +94,12 @@ def capped_matmul(matrix: np.ndarray, flat: np.ndarray, out=None) -> np.ndarray:
     one matrix or a stack of as many), written to ``out`` when given; the
     result has ``matrix``'s row count.  A product over a
     ``BLAS_SLICE_MACS`` cap goes as one stack of column slices, as wide as
-    fits (at least one column)."""
+    fits (at least one column); with no cap, it is ``np.matmul`` at once."""
+    if BLAS_SLICE_MACS is None:
+        return np.matmul(matrix, flat, out=out)
     *lead, dim, cols = flat.shape
     rows = matrix.shape[-2]
-    if BLAS_SLICE_MACS is None or rows * dim * cols <= BLAS_SLICE_MACS:
+    if rows * dim * cols <= BLAS_SLICE_MACS:
         return np.matmul(matrix, flat, out=out)
     width = math.gcd(cols, max(1, BLAS_SLICE_MACS // (rows * dim)))
     if out is None:

@@ -325,8 +325,7 @@ def _fuse(gates: list[Gate]) -> Gate:
         return gates[0]
     lines = sorted({q for g in gates for q in g.targets})
     local = {q: i for i, q in enumerate(lines)}
-    matrix = _operator([Gate(g.step, tuple(local[q] for q in g.targets), g.matrix)
-                        for g in gates], len(lines))
+    matrix = _operator([g.moved(g.step, [local[q] for q in g.targets]) for g in gates], len(lines))
     return Gate(gates[-1].step, tuple(lines), matrix)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from qformula import (
     variable,
 )
 from qformula import gates
-from qformula.gates import CNOT, H, X, random_unitary, unitary_deviation
+from qformula.gates import CNOT, H, X, complex_normal, random_unitary, unitary_deviation
+from qformula.rewrite import restrict
+from qformula.samples import formula_corpus
 
 
 def test_single_x_gate_circuit_is_valid():
@@ -113,6 +117,42 @@ def test_check_validates_once_but_validate_always_rechecks(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("labels_of", [
+    lambda m: [variable(2)] * m, lambda m: [constant(0)] * (m - 1), lambda m: [variable(1)] * m,
+], ids=["not-contiguous", "too-few", "valid"])
+def test_a_relabelled_circuit_rechecks_only_its_labels(monkeypatch, labels_of):
+    import qformula.circuit as circuit_module
+
+    loops = []
+    real = circuit_module._gate_violations
+    monkeypatch.setattr(circuit_module, "_gate_violations", lambda c: loops.append(c) or real(c))
+    member = formula_corpus(1)[0]
+    f = member.formula.check()
+    f_rho = restrict(f, member.block, dict(member.rho))
+    assert f_rho.check() is f_rho and loops == [f]  # the restriction runs no gate loop
+    labels = labels_of(f.num_qubits)
+    relabelled = f.relabel(labels)
+    fresh = Circuit(f.num_qubits, labels, f.gates, f.output_qubit, f.arity_bound)
+    assert validate(relabelled) == validate(fresh) and loops == [f, fresh]
+    if validate(fresh).ok:
+        assert relabelled.check() is relabelled
+    else:  # the same error text as a circuit checked from scratch
+        messages = []
+        for c in (relabelled, fresh):
+            with pytest.raises(InvalidCircuitError) as err:
+                c.check()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_a_relabelled_circuit_keeps_its_gate_violations():
+    broken = build_circuit(2, [variable(1), constant(0)], [((0, 1), 2 * CNOT)], output_qubit=0)
+    message = "invalid circuit: non-unitary at step 1 (deviation 3.000e+00)"
+    for c in (broken, broken.relabel([variable(1), variable(2)])):
+        with pytest.raises(InvalidCircuitError, match=re.escape(message)):
+            c.check()
+
+
 def test_failed_check_is_not_remembered():
     bad = np.array([[1, 0], [0, 2]], dtype=complex)
     c = build_circuit(1, [variable(1)], [((0,), bad)], output_qubit=0)
@@ -212,7 +252,9 @@ def test_validate_stacks_one_product_per_dimension_and_keeps_it(monkeypatch):
     validate(c)
     validate(c.relabel([constant(0)] * 6))  # the same gates: no product
     moved = c.gates[1].moved(1, (5, 4, 3, 2, 1, 0))
-    assert moved.matrix is not u64 and np.array_equal(moved.matrix, u64)
+    assert moved.matrix is u64 and moved.__dict__["_deviation"] == c.gates[1].deviation
+    with pytest.raises(ValueError):  # shared, and still read-only
+        moved.matrix[0, 0] = 0
     Circuit(6, c.labels, (moved,), 0, 6).check()
     assert moved.deviation == c.gates[1].deviation and len(stacks) == 3
     assert Gate(1, (0,), X).deviation == 0.0 and len(stacks) == 4  # a fresh gate: one stack of one
@@ -246,3 +288,13 @@ def test_size_counts_gates_plus_input_wires():
         [((0, 1), CNOT), ((1, 2), CNOT)], output_qubit=2,
     )
     assert c.size == 5
+
+
+@pytest.mark.parametrize("shape", [5, (3, 4)], ids=["int", "tuple"])
+def test_complex_normal_is_two_normal_fills_bit_for_bit(shape):
+    one, two = np.random.default_rng(3), np.random.default_rng(3)
+    z = complex_normal(shape, one)
+    re_part, im_part = two.normal(size=shape), two.normal(size=shape)
+    assert z.shape == re_part.shape and z.dtype == complex
+    assert z.real.tobytes() == re_part.tobytes() and z.imag.tobytes() == im_part.tobytes()
+    assert one.normal() == two.normal()  # the stream goes on from the same place

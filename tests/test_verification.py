@@ -8,6 +8,8 @@ deviations, bit for bit.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,79 @@ def test_sweep_equals_the_one_case_loop_over_many_small_chunks(monkeypatch, swee
     assert sweep(10, 11).max_deviation == reference(10, 11)
 
 
+def test_split_check_runs_the_shared_gates_once_and_keeps_every_deviation(monkeypatch):
+    # each case's four deviations, bit for bit those of three full _operator
+    # runs (the reference and both split orders), with fewer gates applied
+    seen, applied = {}, []
+    real_split, real_operators, real_apply = decompose_disjoint, verification._operators, simulator._apply
+    monkeypatch.setattr(verification, "decompose_disjoint",
+                        lambda gates, q1, q2: seen.update(gates=gates, q1=q1) or real_split(gates, q1, q2))
+    monkeypatch.setattr(verification, "_operators",
+                        lambda first, second, m, start: seen.update(states=start)
+                        or real_operators(first, second, m, start))
+    monkeypatch.setattr(simulator, "_apply", lambda *args: applied.append(1) or real_apply(*args))
+    checked = []
+
+    def draw(rng, unitary):
+        check = verification._draw_split(rng, unitary)
+
+        def compare(unitaries):
+            applied.clear()
+            got, calls = check(unitaries), len(applied)
+            gates, states = seen["gates"], seen["states"]
+            width = states.shape[0].bit_length() - 1
+            c1, c2 = real_split(gates, seen["q1"], range(len(seen["q1"]), width))
+            reference = simulator._operator(gates, width, states)
+            first = np.abs(reference - simulator._operator([*c1, *c2], width, states)).max(axis=0)
+            second = np.abs(reference - simulator._operator([*c2, *c1], width, states)).max(axis=0)
+            assert got == (float(first[0]), float(second[0]), float(first[1]), float(second[1]))
+            # the split order that starts with the reference's first gate
+            lead = [*c1, *c2] if set(gates[0].targets) <= set(seen["q1"]) else [*c2, *c1]
+            same = [(g.targets, g.matrix.tobytes()) == (h.targets, h.matrix.tobytes())
+                    for g, h in zip(gates, lead)]
+            shared = same.index(False) if False in same else len(gates)
+            assert calls == 3 * len(gates) - shared
+            checked.append(shared)
+            return got
+        return compare
+
+    for seed in range(200):
+        verification._sweep("disjoint-split", verification.OPERATOR_TOL, 10, seed, draw)
+    assert len(checked) == 2000 and min(checked) >= 1
+
+
+def test_product_family_check_matches_a_gram_over_the_kron_stack(monkeypatch):
+    # each case's deviation, bit for bit the one of a Gram over the kron stack
+    families = []
+
+    def kept(vectors):
+        basis = orthonormalize(vectors)
+        families.append(basis[0])
+        return basis
+
+    monkeypatch.setattr(verification, "orthonormalize", kept)
+    checked = 0
+
+    def draw(rng, unitary):
+        check = verification._draw_families(rng, unitary)
+
+        def compare(unitaries):
+            nonlocal checked
+            families.clear()
+            got = check(unitaries)
+            family_a, family_b = families
+            products = np.array([kron(a, b) for a in family_a for b in family_b])
+            gram = products.conj() @ products.T
+            assert got == (float(np.abs(gram - np.eye(len(products))).max()),)
+            checked += 1
+            return got
+        return compare
+
+    for seed in range(100):
+        verification._sweep("product-family", verification.FACTORIZATION_TOL, 10, seed, draw)
+    assert checked == 1000
+
+
 def test_shared_postponement_prefix_at_its_edges():
     # the prefix built once, then continued along each order: the two full
     # builds, bit for bit, whether the orders share every gate or none (the
@@ -297,3 +372,28 @@ def test_corpus_is_bit_identical_to_one_qr_per_gate(monkeypatch):
             b.num_qubits, b.labels, b.output_qubit, b.arity_bound)
         assert [(g.step, g.targets, g.matrix.tobytes()) for g in a.gates] == [
             (g.step, g.targets, g.matrix.tobytes()) for g in b.gates]
+
+
+# the product cap, then ``qf verify-lemmas --json --cases 10`` for seeds 0-9
+_LEMMAS_SEEDS_0_TO_9 = """
+from qformula import cli, gates
+print(gates.BLAS_SLICE_MACS)
+codes = [cli.main(["verify-lemmas", "--json", "--cases", "10", "--seed", str(s)]) for s in range(10)]
+assert codes == [0] * 10, codes
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="BLAS runs one thread on one CPU: no capped path to compare")
+def test_verify_lemmas_prints_the_same_bytes_on_one_and_two_blas_threads(run_child):
+    runs = []
+    for threads in ("1", "2"):
+        env = {"OPENBLAS_NUM_THREADS": threads, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+        done = run_child("-c", _LEMMAS_SEEDS_0_TO_9, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout.split("\n", 1))
+    (one_cap, one), (two_cap, two) = runs
+    assert two_cap == str(2 ** 15)
+    if one_cap != "None":
+        pytest.skip("numpy's BLAS is not OpenBLAS: both runs take the capped path")
+    assert one == two and one.count('"passed": true') == 50  # 10 reports of 4 sweeps each
